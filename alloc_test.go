@@ -18,7 +18,9 @@ import (
 // workloads: the EMC-hit victim mix and the 8192-mask staged megaflow
 // sweep. The telemetry legs re-run both with a live registry attached —
 // instrument recording shares the contract, so scraping in production
-// costs no hot-path garbage.
+// costs no hot-path garbage. The sharded legs hold the shard-split sweep
+// of the shared megaflow to the same contract, on a WithShards(4) switch
+// and on one view of a shared PMD pool.
 func TestFramePathZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -48,6 +50,26 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			build: func() *dataplane.Switch {
 				return attackSwitch(t, attack.ThreeField(), true, noEMC,
 					dataplane.WithTelemetry(telemetry.NewRegistry()))
+			},
+			burst: 32,
+		},
+		{
+			name: "sharded4-megaflow",
+			build: func() *dataplane.Switch {
+				return attackSwitch(t, attack.TwoField(), true, noEMC, dataplane.WithShards(4))
+			},
+			burst: 32,
+		},
+		{
+			name: "shared-pool-view",
+			build: func() *dataplane.Switch {
+				atk := attack.TwoField()
+				pool := dataplane.NewSharedPMDPool(2, "alloc", noEMC)
+				installAttackPolicy(t, atk, pool.InstallRule)
+				for _, k := range covertKeys(t, atk) {
+					pool.PMD(0).ProcessKey(1, k)
+				}
+				return pool.PMD(1)
 			},
 			burst: 32,
 		},

@@ -1,10 +1,10 @@
 // Package policyinject_test is the benchmark harness: one benchmark per
-// paper table/figure plus the ablations called out in DESIGN.md §6. Run
+// paper table/figure plus the hierarchy and mitigation ablations. Run
 //
 //	go test -bench=. -benchmem
 //
-// and compare against EXPERIMENTS.md. Where a benchmark corresponds to a
-// paper artefact, the mapping is noted in its comment.
+// Where a benchmark corresponds to a paper artefact, the mapping is noted
+// in its comment.
 package policyinject_test
 
 import (
@@ -1011,8 +1011,9 @@ func BenchmarkHierarchies(b *testing.B) {
 //   - single: one unsharded switch behind a mutex — the only correct way
 //     to drive the single-writer datapath from many cores, and exactly
 //     what the old contract forced pools of threads into.
-//   - sharded: one NewSharedPMDPool view per worker over the same shared
-//     sharded hierarchy — per-shard read locks on lookup, per-shard
+//   - sharded: one NewSharedPMDPool view per worker over one shared
+//     sharded megaflow, each view with its own EMC and SMC (per PMD, as in
+//     OVS-DPDK) — per-shard read locks on megaflow lookup, per-shard
 //     insert locks on upcall, no global serialization anywhere.
 //
 // Workloads: the warm elephant mix (8 victim flows, long same-flow runs,

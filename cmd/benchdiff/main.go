@@ -3,7 +3,7 @@
 // `go test -bench` text) and fails when any pinned benchmark's ns/op
 // regressed beyond the threshold ratio.
 //
-//	benchdiff -old ci/bench-baseline.json -new BENCH_pr5.json \
+//	benchdiff -old ci/bench-baseline.json -new BENCH_merged.json \
 //	          -pins ci/bench-pins.txt -threshold 1.25
 //
 // Per benchmark the best (minimum) ns/op of the run is compared — the

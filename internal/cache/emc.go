@@ -55,8 +55,9 @@ type emcEntry struct {
 	slot int    // index in keys, for O(1) random-replacement eviction
 }
 
-// EMC is the exact-match (microflow) cache. Not safe for concurrent use;
-// the dataplane owns it.
+// EMC is the exact-match (microflow) cache. Not safe for concurrent use:
+// like OVS-DPDK's, each PMD owns its own, so its counters stay plain; only
+// the megaflow entries it references are shared.
 type EMC struct {
 	cfg     EMCConfig
 	max     int
@@ -122,8 +123,7 @@ func (e *EMC) Lookup(k flow.Key, now uint64) (*Entry, bool) {
 		e.Misses++
 		return nil, false
 	}
-	ent.flow.Hits++
-	ent.flow.LastHit = now
+	ent.flow.credit(1, now)
 	e.Hits++
 	return ent.flow, true
 }
@@ -156,10 +156,8 @@ func (e *EMC) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, miss *burs
 // re-probing — the same-flow run coalescing fast path, equivalent to n
 // Lookup calls that hit f.
 func (e *EMC) AccountRun(f *Entry, n int, now uint64) {
-	nn := uint64(n)
-	e.Hits += nn
-	f.Hits += nn
-	f.LastHit = now
+	e.Hits += uint64(n)
+	f.credit(uint64(n), now)
 }
 
 // Insert caches a reference to megaflow entry f for exact key k, applying

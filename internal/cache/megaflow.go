@@ -70,11 +70,11 @@ type MegaflowConfig struct {
 // ranking: ewma' = alpha*hitsInWindow + (1-alpha)*ewma.
 const rankAlpha = 0.25
 
-// Entry is one cached megaflow. Hits and LastHit are the entry's
-// activity accounting: on a cache built for single-goroutine use they
-// are plain fields, while the sharded wrappers (ShardedMegaflow and
-// friends) credit them atomically because an EMC shard's readers and a
-// megaflow shard's sweeps touch the same entry under different locks.
+// Entry is one cached megaflow. Hits and LastHit are its activity
+// accounting, credited through credit and read through lastHit — always
+// atomically, because the per-PMD EMC/SMC of a shared pool and the shard
+// sweeps of the one megaflow reach the same entry under different locks
+// (or none). Match and Verdict never change after the entry is minted.
 type Entry struct {
 	Match   flow.Match
 	Verdict Verdict
@@ -83,8 +83,8 @@ type Entry struct {
 	LastHit uint64 // logical last-hit time
 
 	// dead is set on eviction so EMC/SMC references invalidate lazily.
-	// Atomic because in sharded hierarchies the evicting shard and a
-	// reference tier's reader hold different locks.
+	// Atomic because the evicting shard and a reference tier's reader
+	// hold different locks.
 	dead atomic.Bool
 }
 
@@ -92,17 +92,40 @@ type Entry struct {
 // (EMC references to it are stale).
 func (e *Entry) Dead() bool { return e.dead.Load() }
 
+// credit bills n hits of the entry at logical time now. The clock store
+// is skipped when it already reads now: a warm entry takes many hits per
+// logical tick, and the load is far cheaper than the locked store.
+func (e *Entry) credit(n, now uint64) {
+	atomic.AddUint64(&e.Hits, n)
+	if atomic.LoadUint64(&e.LastHit) != now {
+		atomic.StoreUint64(&e.LastHit, now)
+	}
+}
+
+// lastHit reads the entry's idle clock.
+func (e *Entry) lastHit() uint64 { return atomic.LoadUint64(&e.LastHit) }
+
 type mfSubtable struct {
 	mask    flow.Mask
 	entries map[flow.Key]*Entry
-	hits    uint64       // for sorted TSS
-	lastHit uint64       // for LRU mask eviction
+	hits    uint64       // for sorted TSS (atomic: credited under a shard read lock)
+	lastHit uint64       // for LRU mask eviction (atomic, as hits)
 	staged  *stagedState // staged-lookup/pruning state; nil unless StagedPruning
 }
 
-// Megaflow is the TSS-based megaflow cache. Not safe for concurrent use
-// on its own; ShardedMegaflow composes per-shard instances behind
-// per-shard locks for the concurrent datapath.
+// credit bills n hits of the subtable at logical time now.
+func (st *mfSubtable) credit(n, now uint64) {
+	atomic.AddUint64(&st.hits, n)
+	if atomic.LoadUint64(&st.lastHit) != now {
+		atomic.StoreUint64(&st.lastHit, now)
+	}
+}
+
+// Megaflow is the TSS-based megaflow cache. Its flat Lookup and
+// LookupBatch are safe for any number of concurrent callers as long as
+// nothing mutates the cache meanwhile — ShardedMegaflow runs them under a
+// shard read lock. Everything else (inserts, maintenance, staged and
+// sorted lookups) needs exclusive access.
 type Megaflow struct {
 	cfg       MegaflowConfig
 	limit     int
@@ -111,19 +134,13 @@ type Megaflow struct {
 	byMask    map[flow.Mask]*mfSubtable
 	nEntries  int
 
-	// shared marks an instance owned by a sharded wrapper: entries may be
-	// referenced by EMC/SMC shards guarded by *other* locks, so all
-	// Hits/LastHit traffic on entries goes through atomics (creditEntry,
-	// entryLastHit) even on the write-side sweeps under this instance's
-	// own lock.
-	shared bool
-
 	sinceSort int
 	lastRank  uint64 // Lookups value at the last EWMA re-ranking
 
 	batchCost []int // per-key scan-cost scratch of the staged batch sweep
 
-	// Stats
+	// Stats. The flat lookups add to Lookups, Hits, Misses and
+	// MasksScanned atomically; exclusive-access paths add plainly.
 	Lookups, Hits, Misses uint64
 	// MasksScanned accumulates the subtables visited across lookups; the
 	// average per lookup is the paper's cost metric. With StagedPruning
@@ -171,37 +188,16 @@ func NewMegaflow(cfg MegaflowConfig) *Megaflow {
 	}
 }
 
-// creditEntry bills one hit of ent at logical time now. Shared instances
-// (sharded children) credit atomically: EMC/SMC shard readers and this
-// cache's sweeps reach the same entry under different shard locks.
-func (m *Megaflow) creditEntry(ent *Entry, now uint64) {
-	if m.shared {
-		atomic.AddUint64(&ent.Hits, 1)
-		atomic.StoreUint64(&ent.LastHit, now)
-		return
+// publish adds one sweep's lookup accounting to the counters.
+func (m *Megaflow) publish(hits, misses, scanned uint64) {
+	atomic.AddUint64(&m.Lookups, hits+misses)
+	if hits > 0 {
+		atomic.AddUint64(&m.Hits, hits)
 	}
-	ent.Hits++
-	ent.LastHit = now
-}
-
-// creditEntryN is creditEntry for n coalesced hits.
-func (m *Megaflow) creditEntryN(ent *Entry, n uint64, now uint64) {
-	if m.shared {
-		atomic.AddUint64(&ent.Hits, n)
-		atomic.StoreUint64(&ent.LastHit, now)
-		return
+	if misses > 0 {
+		atomic.AddUint64(&m.Misses, misses)
 	}
-	ent.Hits += n
-	ent.LastHit = now
-}
-
-// entryLastHit reads ent's idle clock, atomically on shared instances
-// (a concurrent EMC shard hit may be refreshing it).
-func (m *Megaflow) entryLastHit(ent *Entry) uint64 {
-	if m.shared {
-		return atomic.LoadUint64(&ent.LastHit)
-	}
-	return ent.LastHit
+	atomic.AddUint64(&m.MasksScanned, scanned)
 }
 
 // Len returns the number of cached entries.
@@ -218,24 +214,19 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 	if m.cfg.StagedPruning {
 		return m.lookupStaged(k, now)
 	}
-	m.Lookups++
-	scanned := 0
-	for _, st := range m.subtables {
-		scanned++
+	for si, st := range m.subtables {
 		if ent, ok := st.entries[st.mask.Apply(k)]; ok {
-			m.creditEntry(ent, now)
-			st.hits++
-			st.lastHit = now
-			m.Hits++
-			m.MasksScanned += uint64(scanned)
+			ent.credit(1, now)
+			st.credit(1, now)
+			m.publish(1, 0, uint64(si+1))
 			m.maybeResort()
-			return ent, scanned, true
+			return ent, si + 1, true
 		}
 	}
-	m.Misses++
-	m.MasksScanned += uint64(scanned)
+	nSub := len(m.subtables)
+	m.publish(0, 1, uint64(nSub))
 	m.maybeResort()
-	return nil, scanned, false
+	return nil, nSub, false
 }
 
 // LookupBatch is the burst-vectorized lookup: the loop is inverted so each
@@ -249,7 +240,8 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 // For every key index set in miss: a hit writes ents[i], adds the scan
 // depth to costs[i] and clears the bit; a miss adds the full scan length
 // to costs[i] and keeps the bit. Counter and per-entry effects equal the
-// scalar Lookup sequence over the same keys. With SortByHits enabled the
+// scalar Lookup sequence over the same keys; the counters are summed in
+// locals and published once per sweep. With SortByHits enabled the
 // sweep falls back to per-key scalar lookups, because re-sort boundaries
 // are clocked per lookup and the inverted loop would shift them mid-burst.
 //
@@ -276,6 +268,7 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 		}
 		return
 	}
+	var hits, scanned uint64
 	nSub := len(m.subtables)
 	for si, st := range m.subtables {
 		if miss.Empty() {
@@ -284,6 +277,7 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 		pos := si + 1
 		mask := st.mask
 		tbl := st.entries
+		var stHits uint64
 		words := miss.Words()
 		for wi := range words {
 			w := words[wi]
@@ -294,23 +288,23 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 				if !ok {
 					continue
 				}
-				m.creditEntry(ent, now)
-				st.hits++
-				st.lastHit = now
-				m.Lookups++
-				m.Hits++
-				m.MasksScanned += uint64(pos)
+				ent.credit(1, now)
+				stHits++
+				scanned += uint64(pos)
 				ents[i] = ent
 				costs[i] += pos
 				miss.Clear(i)
 			}
 		}
+		if stHits > 0 {
+			st.credit(stHits, now)
+			hits += stHits
+		}
 	}
 	// Survivors paid the full sweep: bill them exactly as scalar misses.
-	if left := uint64(miss.Count()); left > 0 {
-		m.Lookups += left
-		m.Misses += left
-		m.MasksScanned += left * uint64(nSub)
+	left := uint64(miss.Count())
+	if left > 0 {
+		scanned += left * uint64(nSub)
 		words := miss.Words()
 		for wi := range words {
 			w := words[wi]
@@ -321,6 +315,7 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 			}
 		}
 	}
+	m.publish(hits, left, scanned)
 }
 
 // AccountRun bills n additional lookups that hit ent at scan depth cost
@@ -338,10 +333,9 @@ func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
 	m.Hits += nn
 	m.MasksScanned += nn * uint64(cost)
 	m.RunBilledScans += nn * uint64(cost)
-	m.creditEntryN(ent, nn, now)
+	ent.credit(nn, now)
 	if st := m.byMask[ent.Match.Mask]; st != nil {
-		st.hits += nn
-		st.lastHit = now
+		st.credit(nn, now)
 		if st.staged != nil {
 			st.staged.sinceRank += nn
 		}
@@ -409,27 +403,23 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 		}
 	}
 	if old, ok := st.entries[match.Key]; ok {
-		if m.shared {
-			// Concurrent readers may hold old: never mutate its verdict in
-			// place. Equal verdicts (the common duplicate-upcall case) just
-			// refresh the clocks; a changed verdict retires the entry and
-			// mints a fresh one, RCU-style — stale references die via the
-			// Dead check.
-			if old.Verdict == v {
-				old.Added = now
-				atomic.StoreUint64(&old.LastHit, now)
-				return old, nil
-			}
-			m.removeEntry(st, match.Key, old)
-		} else {
-			old.Verdict = v
+		// Readers elsewhere (a PMD's EMC, a concurrent shard sweep) may
+		// hold old, so its verdict never changes in place. An equal
+		// verdict (the common duplicate-upcall case) refreshes the clocks
+		// — a just-replaced entry is as live as a just-inserted one and
+		// must not be swept by the next EvictIdle; a changed verdict
+		// retires old (stale references die via the Dead check) and puts a
+		// fresh entry in its slot. Either way the entry count is unchanged,
+		// so a replacement is never refused by the flow limit.
+		if old.Verdict == v {
 			old.Added = now
-			// Refresh the idle clock too: a just-replaced entry is as live
-			// as a just-inserted one, and must not be swept by the next
-			// EvictIdle.
-			old.LastHit = now
+			atomic.StoreUint64(&old.LastHit, now)
 			return old, nil
 		}
+		old.dead.Store(true)
+		ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now}
+		st.entries[match.Key] = ent
+		return ent, nil
 	}
 	if m.limit > 0 && m.nEntries >= m.limit {
 		return nil, ErrFlowLimit
@@ -478,7 +468,7 @@ func (m *Megaflow) evictColdestSubtable() {
 	}
 	coldest := m.subtables[0]
 	for _, st := range m.subtables[1:] {
-		if st.lastHit < coldest.lastHit {
+		if atomic.LoadUint64(&st.lastHit) < atomic.LoadUint64(&coldest.lastHit) {
 			coldest = st
 		}
 	}
@@ -552,7 +542,7 @@ func (m *Megaflow) TrimToLimit() int {
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].ent, all[j].ent
-		if al, bl := m.entryLastHit(a), m.entryLastHit(b); al != bl {
+		if al, bl := a.lastHit(), b.lastHit(); al != bl {
 			return al < bl
 		}
 		if a.Added != b.Added {
@@ -598,7 +588,7 @@ func (m *Megaflow) EvictIdle(deadline uint64) int {
 	for i := 0; i < len(m.subtables); {
 		st := m.subtables[i]
 		for k, ent := range st.entries {
-			if m.entryLastHit(ent) < deadline {
+			if ent.lastHit() < deadline {
 				m.removeEntry(st, k, ent)
 				evicted++
 			}

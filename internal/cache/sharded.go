@@ -1,16 +1,20 @@
-// Sharded cache wrappers: the concurrent datapath's fast path.
+// ShardedMegaflow: the one megaflow cache every PMD of a shared pool
+// reads and installs into. Only the megaflow is shared and sharded — the
+// EMC and SMC in front of it stay per PMD (one plain instance per view),
+// as in OVS-DPDK, whose exact-match and signature caches are never shared
+// between cores.
 //
-// Each wrapper (ShardedMegaflow, ShardedEMC, ShardedSMC) partitions its
-// single-goroutine cache by flow hash into S power-of-two shards, each a
-// private child instance behind a per-shard RWMutex:
+// The cache partitions its entries by flow hash into S power-of-two
+// shards, each a plain Megaflow behind a per-shard RWMutex:
 //
 //   - the read side (Lookup/LookupBatch) takes the shard *read* lock and
-//     probes through the lookupShared variants, which replace every
-//     counter and entry mutation with an atomic — so any number of PMD
-//     readers proceed concurrently on one shard;
+//     runs the child's own flat Lookup/LookupBatch, whose counter and
+//     entry credits are atomic — so any number of PMD readers proceed
+//     concurrently on one shard. Staged children re-rank their scan on
+//     lookup, so their readers take the write lock instead;
 //   - the write side (Insert, EvictIdle, TrimToLimit, Revalidate, Flush)
-//     takes the shard *write* lock and reuses the child's single-threaded
-//     code unchanged, excluding readers of that shard only.
+//     takes the shard *write* lock and runs the child's code unchanged,
+//     excluding readers of that shard only.
 //
 // Shard placement uses bits [32,40) of the flow hash: disjoint from the
 // SMC fingerprint (low bits), the SMC signature (top 16 bits) and PMD
@@ -24,6 +28,8 @@
 // independent dpcls per PMD thread. Verdicts are identical either way;
 // scan-cost and upcall attribution shifts per shard, which is the
 // "counters modulo shard attribution" clause of the differential suite.
+// With one shard nothing shifts: WithShards(1) counts exactly like the
+// unsharded cache.
 package cache
 
 import (
@@ -43,15 +49,12 @@ const DefaultShards = 8
 const shardShift = 32
 
 // roundShards clamps and rounds a requested shard count to a power of
-// two in [2, 256].
+// two in [1, 256].
 func roundShards(n int) int {
-	if n < 2 {
-		n = 2
-	}
 	if n > 256 {
 		n = 256
 	}
-	p := 2
+	p := 1
 	for p < n {
 		p <<= 1
 	}
@@ -69,7 +72,7 @@ func perShardLimit(total, n int) int {
 }
 
 // mfShard is one megaflow shard: the child cache and the lock that
-// guards it. Readers hold mu.RLock around lookupShared probes; every
+// guards it. Readers hold mu.RLock around the child's flat lookups; every
 // mutation holds mu. Cross-shard access outside the lock is a bug the
 // lockdiscipline analyzer's sharded rule flags.
 //
@@ -116,7 +119,7 @@ type ShardedMegaflow struct {
 }
 
 // NewShardedMegaflow builds a sharded megaflow cache with the given
-// shard count (rounded to a power of two in [2, 256]; <= 0 means
+// shard count (rounded to a power of two in [1, 256]; <= 0 means
 // DefaultShards). The per-entry flow limit is split evenly across
 // shards; the MaxMasks quota is enforced globally through the wrapper's
 // mask ledger. SortByHits is incompatible with concurrent readers
@@ -147,7 +150,6 @@ func NewShardedMegaflow(cfg MegaflowConfig, shards int) *ShardedMegaflow {
 	child.FlowLimit = perShardLimit(total, n)
 	for i := range sm.shards {
 		mf := NewMegaflow(child)
-		mf.shared = true
 		mf.SetMaskHooks(MaskHooks{Admit: sm.admitShardMask, Minted: sm.shardMaskMinted, Dropped: sm.shardMaskDropped})
 		sm.shards[i].mf = mf
 	}
@@ -243,74 +245,70 @@ func (sm *ShardedMegaflow) LookupHashed(k flow.Key, h uint64, now uint64) (*Entr
 		return ent, cost, ok
 	}
 	sh.mu.RLock()
-	ent, cost, ok := sh.mf.lookupShared(k, now)
+	ent, cost, ok := sh.mf.Lookup(k, now)
 	sh.mu.RUnlock()
 	return ent, cost, ok
 }
 
 // LookupBatch resolves the burst's still-missing keys shard by shard:
-// each shard is locked once per burst and swept with the inverted
-// per-subtable loop over its own keys. hashes must be the burst's flow
-// hashes (the sharded tier declares HashUser so the switch always
-// provides them); a nil hashes falls back to per-key scalar probes.
+// the miss bitmap is split by shard, and each shard that owns keys runs
+// its child's own LookupBatch once over its share, under the shard's
+// read lock (write lock for staged children). hashes must be the burst's
+// flow hashes. split is the caller's scratch, sized by the call: callers
+// sweeping concurrently each bring their own (the tier adapter of every
+// PMD view owns one), so the cache itself stays read-only.
 //
 //lint:hotpath
-func (sm *ShardedMegaflow) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
-	if hashes == nil {
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				ent, cost, ok := sm.Lookup(keys[i], now)
-				costs[i] += cost
-				if ok {
-					ents[i] = ent
-					miss.Clear(i)
-				}
-			}
-		}
-		return
-	}
-	for si := range sm.shards {
-		if miss.Empty() {
-			break
-		}
-		sid := uint64(si)
-		sh := &sm.shards[si]
-		if sm.staged {
-			sh.mu.Lock()
-			sm.shardScalarSweep(sh.mf, sid, keys, hashes, now, ents, costs, miss)
-			sh.mu.Unlock()
-			continue
-		}
-		sh.mu.RLock()
-		sh.mf.lookupBatchShared(keys, hashes, now, sm.smask, sid, ents, costs, miss)
-		sh.mu.RUnlock()
-	}
-}
-
-// shardScalarSweep probes one (already locked) staged shard key by key
-// for the miss-bitmap entries that hash to shard sid.
-func (sm *ShardedMegaflow) shardScalarSweep(mf *Megaflow, sid uint64, keys []flow.Key, hashes []uint64, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
+func (sm *ShardedMegaflow) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*Entry, costs []int, miss, split *burst.Bitmap) {
+	var present [4]uint64 // shards owning a missing key (at most 256)
 	words := miss.Words()
 	for wi := range words {
 		w := words[wi]
 		for w != 0 {
 			i := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if (hashes[i]>>shardShift)&sm.smask != sid {
-				continue
+			si := sm.ShardIndex(hashes[i])
+			present[si>>6] |= 1 << uint(si&63)
+		}
+	}
+	// split holds the keys not handed to their shard yet, plus those a
+	// shard has already left unresolved; miss carries one shard's share
+	// at a time.
+	split.CopyFrom(miss)
+	pend := split.Words()
+	for pw, p := range present {
+		for p != 0 {
+			si := pw<<6 + bits.TrailingZeros64(p)
+			p &= p - 1
+			for wi := range pend {
+				w := pend[wi]
+				var share uint64
+				for w != 0 {
+					b := bits.TrailingZeros64(w)
+					w &= w - 1
+					if sm.ShardIndex(hashes[wi<<6+b]) == si {
+						share |= 1 << uint(b)
+					}
+				}
+				words[wi] = share
+				pend[wi] &^= share
 			}
-			ent, cost, ok := mf.Lookup(keys[i], now)
-			costs[i] += cost
-			if ok {
-				ents[i] = ent
-				miss.Clear(i)
+			sh := &sm.shards[si]
+			if sm.staged {
+				sh.mu.Lock()
+				sh.mf.LookupBatch(keys, now, ents, costs, miss)
+				sh.mu.Unlock()
+			} else {
+				sh.mu.RLock()
+				sh.mf.LookupBatch(keys, now, ents, costs, miss)
+				sh.mu.RUnlock()
+			}
+			for wi := range pend {
+				pend[wi] |= words[wi]
 			}
 		}
 	}
+	miss.CopyFrom(split)
 }
 
 // AccountRun bills n coalesced hits of ent at scan depth cost. The
@@ -322,8 +320,7 @@ func (sm *ShardedMegaflow) AccountRun(ent *Entry, n int, cost int, now uint64) b
 	atomic.AddUint64(&sm.runLookups, nn)
 	atomic.AddUint64(&sm.runHits, nn)
 	atomic.AddUint64(&sm.runScans, nn*uint64(cost))
-	atomic.AddUint64(&ent.Hits, nn)
-	atomic.StoreUint64(&ent.LastHit, now)
+	ent.credit(nn, now)
 	return true
 }
 
@@ -485,7 +482,7 @@ func (sm *ShardedMegaflow) Entries() []*Entry {
 }
 
 // ShardSnapshot returns one shard's counters, read under the shard's
-// write lock so the child's reader-atomic counters settle first.
+// write lock so the readers' atomic credits have settled.
 func (sm *ShardedMegaflow) ShardSnapshot(si int) MegaflowShardSnapshot {
 	sh := &sm.shards[si]
 	sh.mu.Lock()
@@ -517,522 +514,4 @@ func (sm *ShardedMegaflow) Snapshot() MegaflowShardSnapshot {
 	agg.Lookups += atomic.LoadUint64(&sm.runLookups)
 	agg.MasksScanned += atomic.LoadUint64(&sm.runScans)
 	return agg
-}
-
-// lookupShared is the read-side scalar probe of a shared child: safe
-// under the shard's read lock concurrently with other readers. Every
-// counter and entry mutation is atomic; no resorting, no staged state,
-// no map writes.
-func (m *Megaflow) lookupShared(k flow.Key, now uint64) (*Entry, int, bool) {
-	scanned := 0
-	for _, st := range m.subtables {
-		scanned++
-		if ent, ok := st.entries[st.mask.Apply(k)]; ok {
-			atomic.AddUint64(&ent.Hits, 1)
-			atomic.StoreUint64(&ent.LastHit, now)
-			atomic.AddUint64(&st.hits, 1)
-			atomic.StoreUint64(&st.lastHit, now)
-			atomic.AddUint64(&m.Lookups, 1)
-			atomic.AddUint64(&m.Hits, 1)
-			atomic.AddUint64(&m.MasksScanned, uint64(scanned))
-			return ent, scanned, true
-		}
-	}
-	atomic.AddUint64(&m.Lookups, 1)
-	atomic.AddUint64(&m.Misses, 1)
-	atomic.AddUint64(&m.MasksScanned, uint64(scanned))
-	return nil, scanned, false
-}
-
-// lookupBatchShared is the read-side inverted sweep of a shared child,
-// restricted to the miss-bitmap keys whose hash selects shard sid: each
-// subtable is visited once per burst, counter effects are atomic, and
-// only this shard's bits are resolved or billed.
-//
-//lint:hotpath
-func (m *Megaflow) lookupBatchShared(keys []flow.Key, hashes []uint64, now uint64, smask, sid uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
-	// Count this shard's share of the burst up front so the subtable
-	// sweep can stop as soon as the last of them resolves.
-	remaining := 0
-	words := miss.Words()
-	for wi := range words {
-		w := words[wi]
-		for w != 0 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if (hashes[i]>>shardShift)&smask == sid {
-				remaining++
-			}
-		}
-	}
-	if remaining == 0 {
-		return
-	}
-	var lookups, hits, scanned uint64
-	nSub := len(m.subtables)
-	for si, st := range m.subtables {
-		if remaining == 0 {
-			break
-		}
-		pos := uint64(si + 1)
-		mask := st.mask
-		tbl := st.entries
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if (hashes[i]>>shardShift)&smask != sid {
-					continue
-				}
-				ent, ok := tbl[mask.Apply(keys[i])]
-				if !ok {
-					continue
-				}
-				atomic.AddUint64(&ent.Hits, 1)
-				atomic.StoreUint64(&ent.LastHit, now)
-				atomic.AddUint64(&st.hits, 1)
-				atomic.StoreUint64(&st.lastHit, now)
-				lookups++
-				hits++
-				scanned += pos
-				ents[i] = ent
-				costs[i] += int(pos)
-				miss.Clear(i)
-				remaining--
-			}
-		}
-	}
-	// This shard's survivors paid its full scan: bill them as misses.
-	var misses uint64
-	if remaining > 0 {
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if (hashes[i]>>shardShift)&smask != sid {
-					continue
-				}
-				costs[i] += nSub
-				misses++
-			}
-		}
-		lookups += misses
-		scanned += misses * uint64(nSub)
-	}
-	if lookups > 0 {
-		atomic.AddUint64(&m.Lookups, lookups)
-		atomic.AddUint64(&m.MasksScanned, scanned)
-	}
-	if hits > 0 {
-		atomic.AddUint64(&m.Hits, hits)
-	}
-	if misses > 0 {
-		atomic.AddUint64(&m.Misses, misses)
-	}
-}
-
-// emcShard is one exact-match shard (see mfShard).
-//
-//lint:sharded
-type emcShard struct {
-	mu  sync.RWMutex
-	emc *EMC
-}
-
-// CacheSnapshot is a reference-tier (EMC/SMC) stats snapshot.
-type CacheSnapshot struct {
-	Hits, Misses, Inserts, Evictions, Stale uint64
-	Entries, Capacity                       int
-}
-
-// ShardedEMC is the concurrent exact-match cache: reads under per-shard
-// read locks with atomic accounting, inserts under per-shard write
-// locks. Total capacity is split evenly across shards; each shard draws
-// its probabilistic-insertion sequence from its own deterministic PRNG.
-type ShardedEMC struct {
-	smask   uint64
-	shards  []emcShard
-	runHits uint64 // coalesced-run hits (atomic; shard unknown for runs)
-}
-
-// NewShardedEMC builds a sharded EMC with the given shard count
-// (rounded to a power of two in [2, 256]; <= 0 means DefaultShards).
-func NewShardedEMC(cfg EMCConfig, shards int) *ShardedEMC {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	n := roundShards(shards)
-	max := cfg.Entries
-	if max == 0 {
-		max = DefaultEMCEntries
-	}
-	if max < 0 {
-		max = 0
-	}
-	se := &ShardedEMC{smask: uint64(n - 1), shards: make([]emcShard, n)}
-	child := cfg
-	child.Entries = perShardLimit(max, n)
-	if max == 0 {
-		child.Entries = -1
-	}
-	for i := range se.shards {
-		c := child
-		// Distinct, reproducible per-shard PRNG streams.
-		c.Seed = cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15
-		se.shards[i].emc = NewEMC(c)
-	}
-	return se
-}
-
-// NumShards returns the shard count.
-func (se *ShardedEMC) NumShards() int { return len(se.shards) }
-
-// ShardIndex returns the shard a flow hash selects.
-func (se *ShardedEMC) ShardIndex(h uint64) int {
-	return int((h >> shardShift) & se.smask)
-}
-
-// Lookup probes the key's shard under its read lock.
-func (se *ShardedEMC) Lookup(k flow.Key, now uint64) (*Entry, bool) {
-	return se.LookupHashed(k, k.Hash(), now)
-}
-
-// LookupHashed is Lookup with the flow hash precomputed.
-func (se *ShardedEMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
-	sh := &se.shards[se.ShardIndex(h)]
-	sh.mu.RLock()
-	ent, ok := sh.emc.lookupShared(k, now)
-	sh.mu.RUnlock()
-	return ent, ok
-}
-
-// LookupBatch resolves the burst's still-missing keys shard by shard,
-// one read lock per shard per burst.
-//
-//lint:hotpath
-func (se *ShardedEMC) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*Entry, miss *burst.Bitmap) {
-	for si := range se.shards {
-		if miss.Empty() {
-			return
-		}
-		sid := uint64(si)
-		sh := &se.shards[si]
-		sh.mu.RLock()
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if (hashes[i]>>shardShift)&se.smask != sid {
-					continue
-				}
-				if ent, ok := sh.emc.lookupShared(keys[i], now); ok {
-					ents[i] = ent
-					miss.Clear(i)
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// AccountRun bills n coalesced hits of resident entry f — all atomic,
-// no shard lock (the run's shard is unknown and unneeded).
-func (se *ShardedEMC) AccountRun(f *Entry, n int, now uint64) {
-	nn := uint64(n)
-	atomic.AddUint64(&se.runHits, nn)
-	atomic.AddUint64(&f.Hits, nn)
-	atomic.StoreUint64(&f.LastHit, now)
-}
-
-// Insert caches a reference in the key's shard under its write lock.
-func (se *ShardedEMC) Insert(k flow.Key, f *Entry) {
-	se.InsertHashed(k, k.Hash(), f)
-}
-
-// InsertHashed is Insert with the flow hash precomputed.
-func (se *ShardedEMC) InsertHashed(k flow.Key, h uint64, f *Entry) {
-	sh := &se.shards[se.ShardIndex(h)]
-	sh.mu.Lock()
-	sh.emc.Insert(k, f)
-	sh.mu.Unlock()
-}
-
-// Flush empties every shard.
-func (se *ShardedEMC) Flush() {
-	for si := range se.shards {
-		sh := &se.shards[si]
-		sh.mu.Lock()
-		sh.emc.Flush()
-		sh.mu.Unlock()
-	}
-}
-
-// Len returns the total cached microflows.
-func (se *ShardedEMC) Len() int {
-	n := 0
-	for si := range se.shards {
-		sh := &se.shards[si]
-		sh.mu.RLock()
-		n += sh.emc.Len()
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Cap returns the total configured capacity.
-func (se *ShardedEMC) Cap() int {
-	n := 0
-	for si := range se.shards {
-		sh := &se.shards[si]
-		sh.mu.RLock()
-		n += sh.emc.Cap()
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Snapshot aggregates every shard's counters (under the shard write
-// locks) plus the wrapper's coalesced-run hits.
-func (se *ShardedEMC) Snapshot() CacheSnapshot {
-	var agg CacheSnapshot
-	for si := range se.shards {
-		sh := &se.shards[si]
-		sh.mu.Lock()
-		agg.Hits += sh.emc.Hits
-		agg.Misses += sh.emc.Misses
-		agg.Inserts += sh.emc.Inserts
-		agg.Evictions += sh.emc.Evictions
-		agg.Stale += sh.emc.Stale
-		agg.Entries += sh.emc.Len()
-		agg.Capacity += sh.emc.Cap()
-		sh.mu.Unlock()
-	}
-	agg.Hits += atomic.LoadUint64(&se.runHits)
-	return agg
-}
-
-// lookupShared is the EMC's read-side probe for sharded use: atomic
-// accounting, and — critically — no purge of stale references (that
-// would be a map write under a read lock); a dead reference keeps
-// missing until an insert overwrites it or a flush sweeps it.
-func (e *EMC) lookupShared(k flow.Key, now uint64) (*Entry, bool) {
-	if e.max == 0 {
-		return nil, false
-	}
-	ent, ok := e.entries[k]
-	if !ok {
-		atomic.AddUint64(&e.Misses, 1)
-		return nil, false
-	}
-	f := ent.flow
-	if f.Dead() {
-		atomic.AddUint64(&e.Stale, 1)
-		atomic.AddUint64(&e.Misses, 1)
-		return nil, false
-	}
-	atomic.AddUint64(&f.Hits, 1)
-	atomic.StoreUint64(&f.LastHit, now)
-	atomic.AddUint64(&e.Hits, 1)
-	return f, true
-}
-
-// smcShard is one signature-match shard (see mfShard).
-//
-//lint:sharded
-type smcShard struct {
-	mu  sync.RWMutex
-	smc *SMC
-}
-
-// ShardedSMC is the concurrent signature-match cache; sharding and
-// locking mirror ShardedEMC. The shard index uses hash bits [32,40),
-// disjoint from both the fingerprint (low bits) and the signature (top
-// 16 bits), so per-shard tables keep full discrimination.
-type ShardedSMC struct {
-	smask   uint64
-	shards  []smcShard
-	runHits uint64 // coalesced-run hits (atomic)
-}
-
-// NewShardedSMC builds a sharded SMC with the given shard count
-// (rounded to a power of two in [2, 256]; <= 0 means DefaultShards).
-func NewShardedSMC(cfg SMCConfig, shards int) *ShardedSMC {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	n := roundShards(shards)
-	max := cfg.Entries
-	if max == 0 {
-		max = DefaultSMCEntries
-	}
-	ss := &ShardedSMC{smask: uint64(n - 1), shards: make([]smcShard, n)}
-	child := cfg
-	if max > 0 {
-		child.Entries = perShardLimit(max, n)
-	}
-	for i := range ss.shards {
-		ss.shards[i].smc = NewSMC(child)
-	}
-	return ss
-}
-
-// NumShards returns the shard count.
-func (ss *ShardedSMC) NumShards() int { return len(ss.shards) }
-
-// ShardIndex returns the shard a flow hash selects.
-func (ss *ShardedSMC) ShardIndex(h uint64) int {
-	return int((h >> shardShift) & ss.smask)
-}
-
-// Lookup probes the key's shard under its read lock.
-func (ss *ShardedSMC) Lookup(k flow.Key, now uint64) (*Entry, bool) {
-	return ss.LookupHashed(k, k.Hash(), now)
-}
-
-// LookupHashed is Lookup with the flow hash precomputed.
-func (ss *ShardedSMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
-	sh := &ss.shards[ss.ShardIndex(h)]
-	sh.mu.RLock()
-	ent, ok := sh.smc.lookupHashedShared(k, h, now)
-	sh.mu.RUnlock()
-	return ent, ok
-}
-
-// LookupBatch resolves the burst's still-missing keys shard by shard
-// over the burst's precomputed hashes.
-//
-//lint:hotpath
-func (ss *ShardedSMC) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*Entry, miss *burst.Bitmap) {
-	for si := range ss.shards {
-		if miss.Empty() {
-			return
-		}
-		sid := uint64(si)
-		sh := &ss.shards[si]
-		sh.mu.RLock()
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if (hashes[i]>>shardShift)&ss.smask != sid {
-					continue
-				}
-				if ent, ok := sh.smc.lookupHashedShared(keys[i], hashes[i], now); ok {
-					ents[i] = ent
-					miss.Clear(i)
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// AccountRun bills n coalesced hits of resident entry f atomically.
-func (ss *ShardedSMC) AccountRun(f *Entry, n int, now uint64) {
-	nn := uint64(n)
-	atomic.AddUint64(&ss.runHits, nn)
-	atomic.AddUint64(&f.Hits, nn)
-	atomic.StoreUint64(&f.LastHit, now)
-}
-
-// Insert caches a reference in the key's shard under its write lock.
-func (ss *ShardedSMC) Insert(k flow.Key, f *Entry) {
-	ss.InsertHashed(k, k.Hash(), f)
-}
-
-// InsertHashed is Insert with the flow hash precomputed.
-func (ss *ShardedSMC) InsertHashed(k flow.Key, h uint64, f *Entry) {
-	sh := &ss.shards[ss.ShardIndex(h)]
-	sh.mu.Lock()
-	sh.smc.InsertHashed(k, h, f)
-	sh.mu.Unlock()
-}
-
-// Flush empties every shard.
-func (ss *ShardedSMC) Flush() {
-	for si := range ss.shards {
-		sh := &ss.shards[si]
-		sh.mu.Lock()
-		sh.smc.Flush()
-		sh.mu.Unlock()
-	}
-}
-
-// Len returns the total occupied fingerprint slots.
-func (ss *ShardedSMC) Len() int {
-	n := 0
-	for si := range ss.shards {
-		sh := &ss.shards[si]
-		sh.mu.RLock()
-		n += sh.smc.Len()
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Cap returns the total configured capacity.
-func (ss *ShardedSMC) Cap() int {
-	n := 0
-	for si := range ss.shards {
-		sh := &ss.shards[si]
-		sh.mu.RLock()
-		n += sh.smc.Cap()
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Snapshot aggregates every shard's counters plus coalesced-run hits.
-func (ss *ShardedSMC) Snapshot() CacheSnapshot {
-	var agg CacheSnapshot
-	for si := range ss.shards {
-		sh := &ss.shards[si]
-		sh.mu.Lock()
-		agg.Hits += sh.smc.Hits
-		agg.Misses += sh.smc.Misses
-		agg.Inserts += sh.smc.Inserts
-		agg.Evictions += sh.smc.Evictions
-		agg.Stale += sh.smc.Stale
-		agg.Entries += sh.smc.Len()
-		agg.Capacity += sh.smc.Cap()
-		sh.mu.Unlock()
-	}
-	agg.Hits += atomic.LoadUint64(&ss.runHits)
-	return agg
-}
-
-// lookupHashedShared is the SMC's read-side probe for sharded use:
-// atomic accounting and no lazy purge of dead slots (a map delete under
-// a read lock is illegal; the slot keeps missing until overwritten).
-func (s *SMC) lookupHashedShared(k flow.Key, h uint64, now uint64) (*Entry, bool) {
-	if s.max == 0 {
-		return nil, false
-	}
-	fp, sig := s.indexHash(h)
-	slot, ok := s.slots[fp]
-	if !ok || slot.sig != sig {
-		atomic.AddUint64(&s.Misses, 1)
-		return nil, false
-	}
-	if slot.ent.Dead() {
-		atomic.AddUint64(&s.Stale, 1)
-		atomic.AddUint64(&s.Misses, 1)
-		return nil, false
-	}
-	if slot.ent.Match.Mask.Apply(k) != slot.ent.Match.Key {
-		atomic.AddUint64(&s.Misses, 1)
-		return nil, false
-	}
-	atomic.AddUint64(&slot.ent.Hits, 1)
-	atomic.StoreUint64(&slot.ent.LastHit, now)
-	atomic.AddUint64(&s.Hits, 1)
-	return slot.ent, true
 }

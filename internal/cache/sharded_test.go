@@ -67,10 +67,10 @@ func TestShardedMegaflowRoutingAndLookup(t *testing.T) {
 	}
 	ents := make([]*cache.Entry, n)
 	costs := make([]int, n)
-	var miss burst.Bitmap
+	var miss, split burst.Bitmap
 	miss.Reset(n)
 	miss.SetAll()
-	sm.LookupBatch(keys, hashes, 3, ents, costs, &miss)
+	sm.LookupBatch(keys, hashes, 3, ents, costs, &miss, &split)
 	if !miss.Empty() {
 		t.Fatalf("batch sweep left misses: %v", miss)
 	}
@@ -216,63 +216,6 @@ func TestShardedMegaflowSnapshotAggregates(t *testing.T) {
 	}
 }
 
-// TestShardedEMCAndSMCBasics: per-shard routing, capacity splitting and
-// snapshot aggregation of the sharded reference tiers.
-func TestShardedEMCAndSMCBasics(t *testing.T) {
-	backing := cache.NewMegaflow(cache.MegaflowConfig{})
-	seed := func(k flow.Key) *cache.Entry {
-		ent, err := backing.Insert(exactMatch(k), allowVerdict(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ent
-	}
-	emc := cache.NewShardedEMC(cache.EMCConfig{Entries: 64}, 4)
-	smc := cache.NewShardedSMC(cache.SMCConfig{Entries: 64}, 4)
-	if emc.Cap() != 64 || smc.Cap() < 64 {
-		t.Fatalf("caps: emc %d (want 64), smc %d (want >= 64)", emc.Cap(), smc.Cap())
-	}
-	const n = 32
-	keys := make([]flow.Key, n)
-	for i := range keys {
-		keys[i] = confKey(uint64(0x0a000100+i), 80)
-		ent := seed(keys[i])
-		emc.Insert(keys[i], ent)
-		smc.Insert(keys[i], ent)
-		// The SMC is a lossy fingerprint cache (a later key may overwrite
-		// an earlier slot), so its contract is probed right after insert.
-		if _, ok := smc.Lookup(keys[i], 2); !ok {
-			t.Fatalf("SMC missed key %d immediately after insert", i)
-		}
-	}
-	for i, k := range keys {
-		if _, ok := emc.Lookup(k, 2); !ok {
-			t.Fatalf("EMC missed key %d", i)
-		}
-	}
-	if emc.Len() != n {
-		t.Fatalf("EMC Len = %d, want %d", emc.Len(), n)
-	}
-	es, ss := emc.Snapshot(), smc.Snapshot()
-	if es.Hits != n || ss.Hits != n {
-		t.Fatalf("snapshot hits emc/smc = %d/%d, want %d each", es.Hits, ss.Hits, n)
-	}
-	// Dead backing entries read as stale misses (no purge under the
-	// shard read lock).
-	backing.Remove(exactMatch(keys[0]))
-	if _, ok := emc.Lookup(keys[0], 3); ok {
-		t.Fatal("EMC returned a dead reference")
-	}
-	if es := emc.Snapshot(); es.Stale != 1 {
-		t.Fatalf("EMC Stale = %d, want 1", es.Stale)
-	}
-	emc.Flush()
-	smc.Flush()
-	if emc.Len() != 0 || smc.Len() != 0 {
-		t.Fatalf("post-flush lens emc/smc = %d/%d", emc.Len(), smc.Len())
-	}
-}
-
 // FuzzShardedMegaflowConcurrent is the concurrent install/lookup/trim
 // property: under an adversarial interleaving of writers (inserts,
 // evictions, trims, flow-limit cuts) and readers (scalar and batched
@@ -321,7 +264,7 @@ func FuzzShardedMegaflowConcurrent(f *testing.F) {
 				hashes := make([]uint64, bn)
 				ents := make([]*cache.Entry, bn)
 				costs := make([]int, bn)
-				var miss burst.Bitmap
+				var miss, split burst.Bitmap
 				for i := uint64(0); i < 128; i++ {
 					sm.Lookup(keyAt(i*3+uint64(r)), i)
 					for j := range keys {
@@ -332,7 +275,7 @@ func FuzzShardedMegaflowConcurrent(f *testing.F) {
 					}
 					miss.Reset(bn)
 					miss.SetAll()
-					sm.LookupBatch(keys, hashes, i, ents, costs, &miss)
+					sm.LookupBatch(keys, hashes, i, ents, costs, &miss, &split)
 				}
 			}(r)
 		}

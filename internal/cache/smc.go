@@ -118,8 +118,7 @@ func (s *SMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
 		s.Misses++
 		return nil, false
 	}
-	slot.ent.Hits++
-	slot.ent.LastHit = now
+	slot.ent.credit(1, now)
 	s.Hits++
 	return slot.ent, true
 }
@@ -153,10 +152,8 @@ func (s *SMC) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*
 // re-probing — the same-flow run coalescing fast path, equivalent to n
 // Lookup calls that hit f.
 func (s *SMC) AccountRun(f *Entry, n int, now uint64) {
-	nn := uint64(n)
-	s.Hits += nn
-	f.Hits += nn
-	f.LastHit = now
+	s.Hits += uint64(n)
+	f.credit(uint64(n), now)
 }
 
 // Insert caches a reference to megaflow entry f for key k. A colliding

@@ -262,9 +262,8 @@ func (m *Megaflow) lookupStaged(k flow.Key, now uint64) (*Entry, int, bool) {
 		}
 		cost++
 		m.SubtableVisits++
-		m.creditEntry(ent, now)
-		st.hits++
-		st.lastHit = now
+		ent.credit(1, now)
+		st.credit(1, now)
 		st.staged.sinceRank++
 		m.Hits++
 		m.MasksScanned += uint64(cost)
@@ -417,9 +416,8 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 				}
 				mfCost[i]++
 				m.SubtableVisits++
-				m.creditEntry(ent, now)
-				st.hits++
-				st.lastHit = now
+				ent.credit(1, now)
+				st.credit(1, now)
 				ss.sinceRank++
 				m.Lookups++
 				m.Hits++

@@ -33,7 +33,7 @@ import (
 // Upstream OVS defaults to nw_src/nw_dst only; reproducing the paper's
 // published mask counts (512 and 8192) additionally requires
 // divergence-depth granularity on the L4 ports, as produced by the
-// Calico/Kubernetes datapaths the demo targeted. See DESIGN.md §2.
+// Calico/Kubernetes datapaths the demo targeted.
 var DefaultPrefixFields = []flow.FieldID{
 	flow.FieldIPSrc, flow.FieldIPDst, flow.FieldTPSrc, flow.FieldTPDst,
 	flow.FieldIPv6SrcHi, flow.FieldIPv6SrcLo, flow.FieldIPv6DstHi, flow.FieldIPv6DstLo,

@@ -15,12 +15,8 @@ import (
 )
 
 // scalarOnly hides a tier's batch capability: the wrapper's method set is
-// exactly Tier, so the switch's generic walk must take the per-key
-// fallback. scalarInstaller does the same while keeping the authoritative
-// tier's install capability.
+// exactly Tier.
 type scalarOnly struct{ Tier }
-
-type scalarInstaller struct{ MegaflowInstaller }
 
 // batchEq fatals unless the two switches produced identical decisions and
 // identical switch-level counters.
@@ -98,39 +94,19 @@ func TestBatchMatchesSequentialStateful(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackForNonBatchTiers pins the compatibility contract: a
-// WithTiers hierarchy whose tiers do not implement BatchTier still
-// classifies bursts correctly — the walk probes them key by key.
-func TestBatchFallbackForNonBatchTiers(t *testing.T) {
-	build := func() *Switch {
-		sw := New("custom", WithTiers(
-			scalarOnly{NewEMCTier(cache.EMCConfig{})},
-			scalarInstaller{NewMegaflowTier(cache.MegaflowConfig{})},
-		))
-		var m flow.Match
-		m.Key.Set(flow.FieldIPSrc, 0x0a000000)
-		m.Mask.SetPrefix(flow.FieldIPSrc, 8)
-		sw.InstallRule(flowtable.Rule{Match: m, Priority: 10, Action: flowtable.Action{Verdict: flowtable.Allow}})
-		sw.InstallRule(flowtable.Rule{Priority: 0})
-		return sw
-	}
-	if _, isBatch := build().Tiers()[0].(BatchTier); isBatch {
-		t.Fatal("test fixture broken: wrapped tier still exposes BatchTier")
-	}
-	seqSW, batchSW := build(), build()
-	keys := make([]flow.Key, 0, 48)
-	for i := 0; i < 48; i++ {
-		keys = append(keys, tcpKey(uint64(0x0a000001+i%5), 0x0a000002, uint64(2000+i), 80))
-	}
-	for round := 0; round < 2; round++ { // cold then warm
-		now := uint64(round + 1)
-		var seq []Decision
-		for _, k := range keys {
-			seq = append(seq, seqSW.ProcessKey(now, k))
+// TestNewRejectsNonBatchTiers pins the walk's contract: the tier walk
+// has no per-key fallback, so New refuses a hierarchy with a tier that
+// does not implement BatchTier instead of misclassifying through it.
+func TestNewRejectsNonBatchTiers(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a tier without LookupBatch")
 		}
-		batch := batchSW.ProcessBatch(now, keys, nil)
-		batchEq(t, fmt.Sprintf("round %d", round), seq, batch, seqSW, batchSW)
-	}
+	}()
+	New("custom", WithTiers(
+		scalarOnly{NewEMCTier(cache.EMCConfig{})},
+		NewMegaflowTier(cache.MegaflowConfig{}),
+	))
 }
 
 // TestRunCoalescingExactness is the property test for same-flow run

@@ -66,7 +66,7 @@ type config struct {
 	conntrack  *conntrack.Config
 	tiers      []Tier // custom hierarchy (tiersSet): other cache opts ignored
 	tiersSet   bool
-	shards     int // WithShards: shard the default hierarchy's caches
+	shards     int // WithShards: shard the default hierarchy's megaflow
 	shardsSet  bool
 	noCoalesce bool
 	staged     bool
@@ -239,6 +239,7 @@ type Switch struct {
 	ports   map[uint32]*Port
 
 	tiers      []Tier
+	batchTiers []BatchTier // tiers, as the batch tiers the walk calls
 	tierHits   []uint64
 	hashedInst []HashedInstaller       // per-tier hashed-install capability (nil entries: plain Install)
 	installer  MegaflowInstaller       // last installer tier, nil if none
@@ -286,8 +287,16 @@ func (bs *batchScratch) grow(n int) {
 
 // New builds a Switch with the given name and options. With no options the
 // hierarchy is the stock OVS userspace datapath: default EMC in front of a
-// default megaflow TSS.
+// default megaflow TSS. New panics if a tier of the hierarchy is not a
+// BatchTier.
 func New(name string, opts ...Option) *Switch {
+	cfg := buildConfig(opts)
+	return newSwitch(name, &cfg)
+}
+
+// buildConfig applies opts and the defaults, rejecting combinations the
+// sharded contract cannot honour.
+func buildConfig(opts []Option) config {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
@@ -301,43 +310,17 @@ func New(name string, opts ...Option) *Switch {
 	if cfg.shardsSet {
 		validateSharded(&cfg)
 	}
+	return cfg
+}
+
+func newSwitch(name string, cfg *config) *Switch {
 	tiers := cfg.tiers
 	if !cfg.tiersSet {
-		emcCfg := cache.EMCConfig{}
-		if cfg.emc != nil {
-			emcCfg = *cfg.emc
-		}
-		smcOn := cfg.smc != nil && cfg.smc.Entries >= 0
-		if emcCfg.Entries >= 0 {
-			// OVS couples smc-enable with probabilistic EMC insertion: the
-			// SMC absorbs the flows the EMC no longer caches eagerly. Force
-			// the stock emc-insert-inv-prob of 1/100 unless the caller set
-			// an insertion policy explicitly; seed the PRNG from the switch
-			// name so every experiment run draws the same sequence.
-			if smcOn && emcCfg.InsertProb == 0 && emcCfg.InsertEvery == 0 {
-				emcCfg.InsertProb = cache.DefaultEMCInsertProb
-			}
-			if emcCfg.Seed == 0 {
-				emcCfg.Seed = nameSeed(name)
-			}
-			if cfg.shardsSet {
-				tiers = append(tiers, NewShardedEMCTier(emcCfg, cfg.shards))
-			} else {
-				tiers = append(tiers, NewEMCTier(emcCfg))
-			}
-		}
-		if smcOn {
-			if cfg.shardsSet {
-				tiers = append(tiers, NewShardedSMCTier(*cfg.smc, cfg.shards))
-			} else {
-				tiers = append(tiers, NewSMCTier(*cfg.smc))
-			}
-		}
+		var mf Tier = NewMegaflowTier(cfg.megaflow)
 		if cfg.shardsSet {
-			tiers = append(tiers, NewShardedMegaflowTier(cfg.megaflow, cfg.shards))
-		} else {
-			tiers = append(tiers, NewMegaflowTier(cfg.megaflow))
+			mf = NewShardedMegaflowTier(cfg.megaflow, cfg.shards)
 		}
+		tiers = append(frontCaches(name, cfg), mf)
 	}
 	if cfg.tierWrap != nil {
 		wrapped := make([]Tier, len(tiers))
@@ -351,35 +334,10 @@ func New(name string, opts ...Option) *Switch {
 		maxIdle:    cfg.maxIdle,
 		cls:        classifier.New(cfg.classifier),
 		ports:      make(map[uint32]*Port),
-		tiers:      tiers,
-		tierHits:   make([]uint64, len(tiers)),
 		noCoalesce: cfg.noCoalesce,
 		upGuard:    cfg.upGuard,
 	}
-	for i := len(tiers) - 1; i >= 0; i-- {
-		if inst, ok := tiers[i].(MegaflowInstaller); ok {
-			s.installer = inst
-			s.promoteTo = i
-			if hmf, ok := inst.(HashedMegaflowInstaller); ok {
-				// Hash-aware installs (sharded tiers): the upcall path
-				// carries the triggering key's flow hash so the megaflow
-				// lands in the shard that key's lookups probe.
-				s.hashedMF = hmf
-				s.needHashes = true
-			}
-			break
-		}
-	}
-	s.hashedInst = make([]HashedInstaller, len(tiers))
-	for i, t := range tiers {
-		if _, ok := t.(HashUser); ok {
-			s.needHashes = true
-		}
-		if hi, ok := t.(HashedInstaller); ok {
-			s.hashedInst[i] = hi
-			s.needHashes = true
-		}
-	}
+	s.setTiers(tiers)
 	if cfg.conntrack != nil {
 		s.ct = conntrack.New(*cfg.conntrack)
 	}
@@ -397,6 +355,73 @@ func New(name string, opts ...Option) *Switch {
 		s.tel = newTelemetryHooks(cfg.telemetry, s)
 	}
 	return s
+}
+
+// frontCaches builds the default hierarchy's EMC and SMC for the switch
+// or PMD view named name — plain, single-owner tiers, whichever way the
+// megaflow behind them is built.
+func frontCaches(name string, cfg *config) []Tier {
+	var tiers []Tier
+	emcCfg := cache.EMCConfig{}
+	if cfg.emc != nil {
+		emcCfg = *cfg.emc
+	}
+	smcOn := cfg.smc != nil && cfg.smc.Entries >= 0
+	if emcCfg.Entries >= 0 {
+		// OVS couples smc-enable with probabilistic EMC insertion: the
+		// SMC absorbs the flows the EMC no longer caches eagerly. Force
+		// the stock emc-insert-inv-prob of 1/100 unless the caller set
+		// an insertion policy explicitly; seed the PRNG from the switch
+		// name so every experiment run draws the same sequence.
+		if smcOn && emcCfg.InsertProb == 0 && emcCfg.InsertEvery == 0 {
+			emcCfg.InsertProb = cache.DefaultEMCInsertProb
+		}
+		if emcCfg.Seed == 0 {
+			emcCfg.Seed = nameSeed(name)
+		}
+		tiers = append(tiers, NewEMCTier(emcCfg))
+	}
+	if smcOn {
+		tiers = append(tiers, NewSMCTier(*cfg.smc))
+	}
+	return tiers
+}
+
+// setTiers installs the hierarchy the switch walks and discovers its
+// capabilities: the batch walk, the hash consumers and the installer.
+func (s *Switch) setTiers(tiers []Tier) {
+	s.tiers = tiers
+	s.batchTiers = make([]BatchTier, len(tiers))
+	s.tierHits = make([]uint64, len(tiers))
+	s.hashedInst = make([]HashedInstaller, len(tiers))
+	for i, t := range tiers {
+		bt, ok := t.(BatchTier)
+		if !ok {
+			panic(fmt.Sprintf("dataplane: tier %q does not implement BatchTier", t.Name()))
+		}
+		s.batchTiers[i] = bt
+		if _, ok := t.(HashUser); ok {
+			s.needHashes = true
+		}
+		if hi, ok := t.(HashedInstaller); ok {
+			s.hashedInst[i] = hi
+			s.needHashes = true
+		}
+	}
+	for i := len(tiers) - 1; i >= 0; i-- {
+		if inst, ok := tiers[i].(MegaflowInstaller); ok {
+			s.installer = inst
+			s.promoteTo = i
+			if hmf, ok := inst.(HashedMegaflowInstaller); ok {
+				// Hash-aware installs (the sharded megaflow): the upcall path
+				// carries the triggering key's flow hash so the megaflow
+				// lands in the shard that key's lookups probe.
+				s.hashedMF = hmf
+				s.needHashes = true
+			}
+			break
+		}
+	}
 }
 
 // nameSeed derives the per-switch PRNG seed for probabilistic EMC
@@ -648,7 +673,7 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 		bs.ents[r] = nil
 		bs.costs[r] = 0
 	}
-	for ti, t := range s.tiers {
+	for ti, t := range s.batchTiers {
 		if bs.miss.Empty() {
 			break
 		}
@@ -657,31 +682,10 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 		if s.tel != nil {
 			tierStart = telemetry.Clock()
 		}
-		if bt, ok := t.(BatchTier); ok {
-			bt.LookupBatch(keys, hashes, now, bs.ents, bs.costs, &bs.miss)
-		} else {
-			// Scalar fallback: tiers without a batch path are probed key
-			// by key, so WithTiers custom hierarchies keep working. The
-			// word-at-a-time iteration (not ForEach) keeps the hot loop
-			// closure-free.
-			words := bs.prev.Words()
-			for wi := range words {
-				w := words[wi]
-				for w != 0 {
-					i := wi<<6 + bits.TrailingZeros64(w)
-					w &= w - 1
-					ent, cost, ok := t.Lookup(keys[i], now)
-					bs.costs[i] += cost
-					if ok {
-						bs.ents[i] = ent
-						bs.miss.Clear(i)
-					}
-				}
-			}
-		}
+		t.LookupBatch(keys, hashes, now, bs.ents, bs.costs, &bs.miss)
 		if s.tel != nil {
 			// Tier-pass latency: one observation per burst per tier, wall
-			// time of the LookupBatch (or scalar-fallback) pass alone.
+			// time of the LookupBatch pass alone.
 			s.tel.tierNs[ti].Record(telemetry.Clock() - tierStart)
 		}
 		// Bill and promote this pass's hits (prev &^ miss), exactly as the

@@ -25,7 +25,7 @@ type PMDPool struct {
 	pmds   []*Switch
 	lanes  []pmdLane // ProcessBatch/ProcessFrames scratch, one lane per PMD
 	hashes []uint64  // the burst's cached flow hashes (steering + tier walks)
-	shared bool      // NewSharedPMDPool: all PMDs view one sharded switch
+	shared bool      // NewSharedPMDPool: all PMDs view one sharded megaflow
 }
 
 // steerLanes clears the lanes and scatters keys (with their precomputed
@@ -116,75 +116,89 @@ func NewPMDPool(n int, name string, opts ...Option) *PMDPool {
 	return p
 }
 
-// NewSharedPMDPool builds n PMDs sharing ONE sharded switch instead of
-// owning disjoint tier instances: the real multi-writer regime, where
-// every core installs into and reads from the same caches. PMD 0 is the
-// primary (it owns the classifier, the flow table and telemetry); PMDs
-// 1..n-1 are views sharing the primary's tiers, slow path and install
-// capabilities while keeping their own counters, ports and batch
-// scratch — so per-PMD counters stay single-writer plain and only the
-// tiers themselves are contended, behind their ConcurrentTier contract.
+// NewSharedPMDPool builds n PMDs sharing ONE sharded megaflow cache
+// instead of owning disjoint ones: the real multi-writer regime, where
+// every core installs into and sweeps the same tuple space — the
+// structure the attack inflates. PMD 0 is the primary (it owns the
+// classifier, the flow table and telemetry); PMDs 1..n-1 are views
+// sharing the primary's megaflow and slow path while keeping their own
+// EMC and SMC (seeded from the view's name, as NewPMDPool seeds each
+// PMD), counters, ports and batch scratch — as in OVS-DPDK, whose
+// exact-match and signature caches are per PMD. So per-PMD state stays
+// single-writer plain and only the megaflow is contended, behind its
+// ConcurrentTier contract.
 //
-// The default hierarchy is sharded automatically (WithShards, with
-// cache.DefaultShards unless the options pick a count); a WithTiers
-// hierarchy must consist of ConcurrentTier implementations. Panics on
-// WithConntrack and WithUpcallGuard: conntrack.Table and the admission
-// guard are single-goroutine state that cannot be shared across PMDs
-// (use NewPMDPool's per-PMD instances for those experiments).
+// The default hierarchy's megaflow is sharded automatically (WithShards,
+// with cache.DefaultShards unless the options pick a count); a WithTiers
+// hierarchy must consist of ConcurrentTier implementations, which every
+// view shares. Panics on WithConntrack and WithUpcallGuard:
+// conntrack.Table and the admission guard are single-goroutine state
+// that cannot be shared across PMDs (use NewPMDPool's per-PMD instances
+// for those experiments).
 //
-// Rule installation goes through the primary (InstallRule does this)
-// and must quiesce traffic, exactly as on a single switch: the
-// classifier itself is read-pure but not mutation-safe under readers.
+// Rule installation goes through the pool (InstallRule) and must quiesce
+// traffic, exactly as on a single switch: the classifier itself is
+// read-pure but not mutation-safe under readers.
 func NewSharedPMDPool(n int, name string, opts ...Option) *PMDPool {
-	var probe config
-	for _, o := range opts {
-		o(&probe)
-	}
-	if probe.conntrack != nil {
+	cfg := buildConfig(opts)
+	if cfg.conntrack != nil {
 		panic("dataplane: NewSharedPMDPool cannot take WithConntrack; conntrack.Table is single-goroutine state")
 	}
-	if probe.upGuard != nil {
+	if cfg.upGuard != nil {
 		panic("dataplane: NewSharedPMDPool cannot take WithUpcallGuard; admission guard state is single-goroutine")
 	}
-	if !probe.shardsSet && !probe.tiersSet {
-		opts = append(opts, WithShards(probe.shards))
+	if !cfg.shardsSet && !cfg.tiersSet {
+		WithShards(0)(&cfg)
+		validateSharded(&cfg)
 	}
 	if n < 1 {
 		n = 1
 	}
-	primary := New(fmt.Sprintf("%s/pmd0", name), opts...)
-	for _, t := range primary.tiers {
-		if _, ok := t.(ConcurrentTier); !ok {
-			panic(fmt.Sprintf("dataplane: NewSharedPMDPool requires ConcurrentTier tiers; %q is not", t.Name()))
+	primary := newSwitch(fmt.Sprintf("%s/pmd0", name), &cfg)
+	if cfg.tiersSet {
+		for _, t := range primary.tiers {
+			if _, ok := t.(ConcurrentTier); !ok {
+				panic(fmt.Sprintf("dataplane: NewSharedPMDPool requires ConcurrentTier tiers; %q is not", t.Name()))
+			}
 		}
 	}
 	p := &PMDPool{shared: true, pmds: []*Switch{primary}}
 	for i := 1; i < n; i++ {
-		p.pmds = append(p.pmds, newSharedView(primary, fmt.Sprintf("%s/pmd%d", name, i)))
+		p.pmds = append(p.pmds, newSharedView(primary, fmt.Sprintf("%s/pmd%d", name, i), &cfg))
 	}
 	return p
 }
 
-// newSharedView builds a PMD view of primary: shared slow path, tiers
-// and install capabilities; private name, counters, ports and scratch.
-func newSharedView(primary *Switch, name string) *Switch {
-	return &Switch{
+// newSharedView builds a PMD view of primary: shared slow path and
+// concurrent tiers, the sharded megaflow through the view's own adapter;
+// private name, front caches, counters, ports and scratch.
+func newSharedView(primary *Switch, name string, cfg *config) *Switch {
+	var tiers []Tier
+	if !cfg.tiersSet {
+		tiers = frontCaches(name, cfg)
+	}
+	for _, t := range primary.tiers {
+		switch t := t.(type) {
+		case *ShardedMegaflowTier:
+			tiers = append(tiers, t.view())
+		case ConcurrentTier:
+			tiers = append(tiers, t)
+		default:
+			// The primary's own front caches: the view built its own.
+		}
+	}
+	s := &Switch{
 		name:       name,
 		maxIdle:    primary.maxIdle,
 		cls:        primary.cls,
 		ports:      make(map[uint32]*Port),
-		tiers:      primary.tiers,
-		tierHits:   make([]uint64, len(primary.tiers)),
-		hashedInst: primary.hashedInst,
-		installer:  primary.installer,
-		hashedMF:   primary.hashedMF,
-		promoteTo:  primary.promoteTo,
 		noCoalesce: primary.noCoalesce,
-		needHashes: primary.needHashes,
 	}
+	s.setTiers(tiers)
+	return s
 }
 
-// Shared reports whether all PMDs view one sharded switch
+// Shared reports whether all PMDs view one sharded megaflow
 // (NewSharedPMDPool) rather than owning disjoint tier instances.
 func (p *PMDPool) Shared() bool { return p.shared }
 
@@ -196,10 +210,14 @@ func (p *PMDPool) PMD(i int) *Switch { return p.pmds[i] }
 
 // InstallRule replicates a rule to every PMD — or, on a shared pool,
 // installs it once through the primary (the classifier, flow table and
-// tiers are the same objects on every view).
+// megaflow are the same objects on every view) and flushes every view's
+// private front caches.
 func (p *PMDPool) InstallRule(r flowtable.Rule) {
 	if p.shared {
 		p.pmds[0].InstallRule(r)
+		for _, sw := range p.pmds[1:] {
+			sw.flushCaches()
+		}
 		return
 	}
 	for _, sw := range p.pmds {
@@ -273,7 +291,7 @@ func (p *PMDPool) ProcessFrames(now uint64, fb *FrameBatch, out []Decision) []De
 
 // MasksPerPMD reports each PMD's megaflow mask count — the per-core view
 // of the attack's footprint. On a shared pool every PMD sees the same
-// sharded cache, so each slot reports the global distinct-mask count.
+// sharded megaflow, so each slot reports the global distinct-mask count.
 func (p *PMDPool) MasksPerPMD() []int {
 	out := make([]int, len(p.pmds))
 	for i, sw := range p.pmds {
@@ -289,7 +307,8 @@ func (p *PMDPool) MasksPerPMD() []int {
 // RunRevalidator sweeps every PMD inline — the legacy maintenance hook;
 // the revalidator actor attaches each PMD as its own dump shard instead
 // (revalidator.Revalidator.AttachPool). A shared pool sweeps once,
-// through the primary: the tiers are the same objects on every view.
+// through the primary: the megaflow is the same object on every view,
+// and the views' front caches invalidate lazily.
 func (p *PMDPool) RunRevalidator(now uint64) int {
 	if p.shared {
 		return p.pmds[0].RunRevalidator(now)

@@ -1,7 +1,6 @@
-// Sharded datapath assembly: the ConcurrentTier adapters over the
-// cache package's sharded wrappers, the WithShards option that swaps
-// them into the default hierarchy, and the per-shard revalidation
-// targets that supersede the coarse AttachLocked mutex.
+// Sharded datapath assembly: the ConcurrentTier adapter over the cache
+// package's sharded megaflow, the WithShards option that swaps it into
+// the default hierarchy, and the per-shard revalidation targets.
 package dataplane
 
 import (
@@ -14,14 +13,17 @@ import (
 	"policyinject/internal/flow"
 )
 
-// WithShards shards the default hierarchy's caches by flow hash into n
-// shards (rounded to a power of two in [2, 256]; n <= 0 means
-// cache.DefaultShards), making every tier a ConcurrentTier: lookups
-// proceed under per-shard read locks concurrently with installs,
-// evictions and revalidation on other shards (and with readers on the
-// same shard). This is the multi-writer switch — the prerequisite for
-// NewSharedPMDPool and for per-shard revalidator attachment
-// (Switch.ShardTargets).
+// WithShards shards the default hierarchy's megaflow cache by flow hash
+// into n shards (rounded to a power of two in [1, 256]; n <= 0 means
+// cache.DefaultShards), making it a ConcurrentTier: lookups proceed under
+// per-shard read locks concurrently with installs, evictions and
+// revalidation on other shards (and with readers on the same shard).
+// Only the megaflow — where the attack's mask explosion lives — is
+// sharded and shared; the EMC and SMC in front of it stay plain, one per
+// PMD view, as in OVS-DPDK. This is the multi-writer switch — the
+// prerequisite for NewSharedPMDPool and for per-shard revalidator
+// attachment (Switch.ShardTargets). WithShards(1) counts exactly like the
+// unsharded switch.
 //
 // New panics on combinations the concurrency contract cannot honour:
 // WithTiers tiers that do not declare ConcurrentTier, a megaflow config
@@ -57,136 +59,25 @@ func validateSharded(cfg *config) {
 	}
 }
 
-// ShardedEMCTier adapts cache.ShardedEMC to the Tier interface — the
-// exact-match front cache of the sharded hierarchy (ConcurrentTier).
-type ShardedEMCTier struct{ emc *cache.ShardedEMC }
-
-// NewShardedEMCTier builds a sharded EMC tier with the given shard
-// count (<= 0: cache.DefaultShards).
-func NewShardedEMCTier(cfg cache.EMCConfig, shards int) *ShardedEMCTier {
-	return &ShardedEMCTier{emc: cache.NewShardedEMC(cfg, shards)}
-}
-
-// ShardedEMC exposes the wrapped cache for inspection and experiments.
-func (t *ShardedEMCTier) ShardedEMC() *cache.ShardedEMC { return t.emc }
-
-func (t *ShardedEMCTier) Name() string     { return "emc" }
-func (t *ShardedEMCTier) Path() Path       { return PathEMC }
-func (t *ShardedEMCTier) ConcurrencySafe() {}
-
-// UsesFlowHashes: the shard index is derived from the burst's cached
-// flow hashes (and reused for the insert side).
-func (t *ShardedEMCTier) UsesFlowHashes() {}
-
-func (t *ShardedEMCTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
-	ent, ok := t.emc.Lookup(k, now)
-	return ent, 0, ok
-}
-
-// LookupBatch resolves the burst's still-missing keys shard by shard
-// under per-shard read locks.
-func (t *ShardedEMCTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
-	if hashes == nil {
-		scalarSweep(t, keys, now, ents, nil, miss)
-		return
-	}
-	t.emc.LookupBatch(keys, hashes, now, ents, miss)
-}
-
-// AccountRun coalesces a same-flow run into n billed hits (atomic).
-func (t *ShardedEMCTier) AccountRun(ent *cache.Entry, n int, _ int, now uint64) bool {
-	t.emc.AccountRun(ent, n, now)
-	return true
-}
-
-func (t *ShardedEMCTier) Install(k flow.Key, ent *cache.Entry) { t.emc.Insert(k, ent) }
-
-// InstallHashed is Install reusing the burst's cached flow hash for
-// shard selection.
-func (t *ShardedEMCTier) InstallHashed(k flow.Key, hash uint64, ent *cache.Entry) {
-	t.emc.InsertHashed(k, hash, ent)
-}
-
-func (t *ShardedEMCTier) Flush()               { t.emc.Flush() }
-func (t *ShardedEMCTier) EvictIdle(uint64) int { return 0 } // stale refs invalidate lazily
-
-func (t *ShardedEMCTier) Stats() TierStats {
-	s := t.emc.Snapshot()
-	return TierStats{
-		Name: t.Name(), Hits: s.Hits, Misses: s.Misses,
-		Inserts: s.Inserts, Evictions: s.Evictions,
-		Entries: s.Entries, Capacity: s.Capacity,
-	}
-}
-
-// ShardedSMCTier adapts cache.ShardedSMC to the Tier interface — the
-// signature-match middle tier of the sharded hierarchy (ConcurrentTier).
-type ShardedSMCTier struct{ smc *cache.ShardedSMC }
-
-// NewShardedSMCTier builds a sharded SMC tier with the given shard
-// count (<= 0: cache.DefaultShards).
-func NewShardedSMCTier(cfg cache.SMCConfig, shards int) *ShardedSMCTier {
-	return &ShardedSMCTier{smc: cache.NewShardedSMC(cfg, shards)}
-}
-
-// ShardedSMC exposes the wrapped cache for inspection and experiments.
-func (t *ShardedSMCTier) ShardedSMC() *cache.ShardedSMC { return t.smc }
-
-func (t *ShardedSMCTier) Name() string     { return "smc" }
-func (t *ShardedSMCTier) Path() Path       { return PathSMC }
-func (t *ShardedSMCTier) ConcurrencySafe() {}
-func (t *ShardedSMCTier) UsesFlowHashes()  {}
-
-func (t *ShardedSMCTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
-	ent, ok := t.smc.Lookup(k, now)
-	return ent, 0, ok
-}
-
-// LookupBatch resolves the burst's still-missing keys shard by shard
-// over the burst's precomputed flow hashes.
-func (t *ShardedSMCTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
-	if hashes == nil {
-		scalarSweep(t, keys, now, ents, nil, miss)
-		return
-	}
-	t.smc.LookupBatch(keys, hashes, now, ents, miss)
-}
-
-// AccountRun coalesces a same-flow run into n billed hits (atomic).
-func (t *ShardedSMCTier) AccountRun(ent *cache.Entry, n int, _ int, now uint64) bool {
-	t.smc.AccountRun(ent, n, now)
-	return true
-}
-
-func (t *ShardedSMCTier) Install(k flow.Key, ent *cache.Entry) { t.smc.Insert(k, ent) }
-
-// InstallHashed is Install reusing the burst's cached flow hash (shard
-// index and fingerprint both derive from it).
-func (t *ShardedSMCTier) InstallHashed(k flow.Key, hash uint64, ent *cache.Entry) {
-	t.smc.InsertHashed(k, hash, ent)
-}
-
-func (t *ShardedSMCTier) Flush()               { t.smc.Flush() }
-func (t *ShardedSMCTier) EvictIdle(uint64) int { return 0 } // stale refs invalidate lazily
-
-func (t *ShardedSMCTier) Stats() TierStats {
-	s := t.smc.Snapshot()
-	return TierStats{
-		Name: t.Name(), Hits: s.Hits, Misses: s.Misses,
-		Inserts: s.Inserts, Evictions: s.Evictions,
-		Entries: s.Entries, Capacity: s.Capacity,
-	}
-}
-
 // ShardedMegaflowTier adapts cache.ShardedMegaflow to the Tier
 // interface — the authoritative tier of the sharded hierarchy
-// (ConcurrentTier, HashedMegaflowInstaller).
-type ShardedMegaflowTier struct{ sm *cache.ShardedMegaflow }
+// (ConcurrentTier, HashedMegaflowInstaller). The adapter owns the burst
+// scratch of the shard split; every PMD view walks the shared cache
+// through its own adapter.
+type ShardedMegaflowTier struct {
+	sm    *cache.ShardedMegaflow
+	split burst.Bitmap
+}
 
 // NewShardedMegaflowTier builds a sharded megaflow tier with the given
 // shard count (<= 0: cache.DefaultShards).
 func NewShardedMegaflowTier(cfg cache.MegaflowConfig, shards int) *ShardedMegaflowTier {
 	return &ShardedMegaflowTier{sm: cache.NewShardedMegaflow(cfg, shards)}
+}
+
+// view returns another adapter over the same cache, with its own scratch.
+func (t *ShardedMegaflowTier) view() *ShardedMegaflowTier {
+	return &ShardedMegaflowTier{sm: t.sm}
 }
 
 // ShardedMegaflow exposes the wrapped cache for inspection and
@@ -203,10 +94,10 @@ func (t *ShardedMegaflowTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int,
 }
 
 // LookupBatch runs the inverted subtable sweep shard by shard: each
-// shard's read lock is taken once per burst and its subtables visited
-// once over the burst's keys hashing to that shard.
+// shard's lock is taken once per burst and its subtables visited once
+// over the burst's keys hashing to that shard.
 func (t *ShardedMegaflowTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, costs []int, miss *burst.Bitmap) {
-	t.sm.LookupBatch(keys, hashes, now, ents, costs, miss)
+	t.sm.LookupBatch(keys, hashes, now, ents, costs, miss, &t.split)
 }
 
 // AccountRun coalesces a same-flow run into n billed hits at the run's
@@ -254,22 +145,6 @@ func (t *ShardedMegaflowTier) Stats() TierStats {
 		Entries: s.Entries, Masks: s.Masks,
 		SubtableVisits: s.SubtableVisits, SubtablePrunes: s.SubtablePrunes,
 	}
-}
-
-// scalarSweep is the shared per-key fallback for sharded batch lookups
-// driven without a hash pass (only reachable through direct tier use;
-// the switch always provides hashes to HashUser tiers).
-func scalarSweep(t Tier, keys []flow.Key, now uint64, ents []*cache.Entry, costs []int, miss *burst.Bitmap) {
-	miss.ForEach(func(i int) {
-		ent, cost, ok := t.Lookup(keys[i], now)
-		if costs != nil {
-			costs[i] += cost
-		}
-		if ok {
-			ents[i] = ent
-			miss.Clear(i)
-		}
-	})
 }
 
 // mfShardTier is one shard of a ShardedMegaflowTier viewed as a Tier:

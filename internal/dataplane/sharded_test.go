@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -17,13 +18,14 @@ type admitAllGuard struct{}
 func (admitAllGuard) AdmitUpcall(uint64, uint32) bool { return true }
 
 // TestShardedMatchesUnshardedDifferential drives the identical frame
-// corpus through an unsharded switch and a WithShards(4) switch carrying
-// the same rules, across the EMC/SMC/staged hierarchies, and demands the
-// same per-frame verdicts and the same headline counters. Paths and mask
-// scans are outside the contract: sharded EMC children seed their PRNGs
-// per shard, and a wildcard megaflow is duplicated into every shard its
-// traffic touches, so only "same decisions, same Packets/Allowed/Denied"
-// is equivalence — counters modulo shard attribution.
+// corpus through an unsharded switch and sharded switches carrying the
+// same rules, across the EMC/SMC/staged hierarchies. WithShards(4) must
+// produce the same per-frame verdicts and the same headline counters:
+// its paths and mask scans are outside the contract, because a wildcard
+// megaflow is duplicated into every shard its traffic touches — counters
+// modulo shard attribution. WithShards(1) attributes nothing differently,
+// so it must match exactly: every decision, Counters() (tier hits
+// included) and every tier's Stats().
 func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	hierarchies := []struct {
 		name string
@@ -43,39 +45,60 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	frames := frameCorpus()
 	for _, h := range hierarchies {
 		t.Run(h.name, func(t *testing.T) {
-			ref := aclSwitch(h.opts...)
-			shOpts := append(append([]Option{}, h.opts...), WithShards(4))
-			sh := aclSwitch(shOpts...)
+			for _, shards := range []int{4, 1} {
+				exact := shards == 1
+				ref := aclSwitch(h.opts...)
+				shOpts := append(append([]Option{}, h.opts...), WithShards(shards))
+				sh := aclSwitch(shOpts...)
 
-			var fbRef, fbSh FrameBatch
-			var outRef, outSh []Decision
-			// Three rounds: cold (all upcalls), warming, fully warm.
-			for round := uint64(1); round <= 3; round++ {
-				fbRef.Reset()
-				fbSh.Reset()
-				for _, f := range frames {
-					fbRef.Append(f, 1)
-					fbSh.Append(f, 1)
-				}
-				outRef = ref.ProcessFrames(round, &fbRef, outRef)
-				outSh = sh.ProcessFrames(round, &fbSh, outSh)
-				if len(outRef) != len(outSh) {
-					t.Fatalf("round %d: decision counts diverge: %d vs %d", round, len(outRef), len(outSh))
-				}
-				for i := range outRef {
-					if outRef[i].Verdict.Verdict != outSh[i].Verdict.Verdict {
-						t.Fatalf("round %d frame %d: unsharded %v, sharded %v",
-							round, i, outRef[i].Verdict.Verdict, outSh[i].Verdict.Verdict)
+				var fbRef, fbSh FrameBatch
+				var outRef, outSh []Decision
+				// Three rounds: cold (all upcalls), warming, fully warm.
+				for round := uint64(1); round <= 3; round++ {
+					fbRef.Reset()
+					fbSh.Reset()
+					for _, f := range frames {
+						fbRef.Append(f, 1)
+						fbSh.Append(f, 1)
+					}
+					outRef = ref.ProcessFrames(round, &fbRef, outRef)
+					outSh = sh.ProcessFrames(round, &fbSh, outSh)
+					if len(outRef) != len(outSh) {
+						t.Fatalf("shards=%d round %d: decision counts diverge: %d vs %d", shards, round, len(outRef), len(outSh))
+					}
+					for i := range outRef {
+						if outRef[i].Verdict.Verdict != outSh[i].Verdict.Verdict {
+							t.Fatalf("shards=%d round %d frame %d: unsharded %v, sharded %v",
+								shards, round, i, outRef[i].Verdict.Verdict, outSh[i].Verdict.Verdict)
+						}
+						if exact && outRef[i] != outSh[i] {
+							t.Fatalf("shards=1 round %d frame %d: unsharded %+v, sharded %+v", round, i, outRef[i], outSh[i])
+						}
 					}
 				}
-			}
-			cr, cs := ref.Counters(), sh.Counters()
-			if cr.Packets != cs.Packets || cr.Allowed != cs.Allowed || cr.Denied != cs.Denied {
-				t.Fatalf("headline counters diverge:\nunsharded packets=%d allowed=%d denied=%d\n  sharded packets=%d allowed=%d denied=%d",
-					cr.Packets, cr.Allowed, cr.Denied, cs.Packets, cs.Allowed, cs.Denied)
-			}
-			if cr.ParseError != cs.ParseError {
-				t.Fatalf("parse errors diverge: %d vs %d", cr.ParseError, cs.ParseError)
+				cr, cs := ref.Counters(), sh.Counters()
+				if cr.Packets != cs.Packets || cr.Allowed != cs.Allowed || cr.Denied != cs.Denied {
+					t.Fatalf("shards=%d: headline counters diverge:\nunsharded packets=%d allowed=%d denied=%d\n  sharded packets=%d allowed=%d denied=%d",
+						shards, cr.Packets, cr.Allowed, cr.Denied, cs.Packets, cs.Allowed, cs.Denied)
+				}
+				if cr.ParseError != cs.ParseError {
+					t.Fatalf("shards=%d: parse errors diverge: %d vs %d", shards, cr.ParseError, cs.ParseError)
+				}
+				if !exact {
+					continue
+				}
+				if !reflect.DeepEqual(cr, cs) {
+					t.Fatalf("shards=1: counters diverge:\nunsharded %+v\n  sharded %+v", cr, cs)
+				}
+				tr, ts := ref.Tiers(), sh.Tiers()
+				if len(tr) != len(ts) {
+					t.Fatalf("shards=1: %d tiers vs %d", len(tr), len(ts))
+				}
+				for i := range tr {
+					if a, b := tr[i].Stats(), ts[i].Stats(); a != b {
+						t.Fatalf("shards=1: tier %d stats diverge:\nunsharded %+v\n  sharded %+v", i, a, b)
+					}
+				}
 			}
 		})
 	}
@@ -127,17 +150,32 @@ func TestWithShardsRejectsViolations(t *testing.T) {
 
 	// The concurrency-safe combos must construct.
 	New("ok", WithShards(4), WithTiers(
-		NewShardedEMCTier(cache.EMCConfig{}, 4),
 		NewShardedMegaflowTier(cache.MegaflowConfig{}, 4)))
 }
 
 // TestSharedPMDPoolSharesState: every PMD of a shared pool views the one
-// sharded switch, so a flow warmed through one view answers from cache
-// on another, and the single-goroutine options are rejected.
+// sharded megaflow behind its own EMC and SMC, so a flow warmed through
+// one view answers from the megaflow on another, a rule change reaches
+// every view's private caches, and the single-goroutine options are
+// rejected.
 func TestSharedPMDPoolSharesState(t *testing.T) {
-	pool := NewSharedPMDPool(3, "shp")
+	pool := NewSharedPMDPool(3, "shp", WithSMC(cache.SMCConfig{Entries: 1 << 10}))
 	if !pool.Shared() {
 		t.Fatal("NewSharedPMDPool did not mark the pool shared")
+	}
+	for i := 0; i < pool.N(); i++ {
+		v := pool.PMD(i)
+		if v.EMC() == nil || v.SMC() == nil {
+			t.Fatalf("pmd%d has no EMC/SMC", i)
+		}
+		if v.ShardedMegaflow() == nil || v.ShardedMegaflow() != pool.PMD(0).ShardedMegaflow() {
+			t.Fatalf("pmd%d does not share pmd0's sharded megaflow", i)
+		}
+		for j := 0; j < i; j++ {
+			if v.EMC() == pool.PMD(j).EMC() || v.SMC() == pool.PMD(j).SMC() {
+				t.Fatalf("pmd%d and pmd%d share a front cache; EMC/SMC are per view", i, j)
+			}
+		}
 	}
 	var m flow.Match
 	m.Key.Set(flow.FieldIPSrc, 0x0a000000)
@@ -150,14 +188,31 @@ func TestSharedPMDPoolSharesState(t *testing.T) {
 		t.Fatalf("cold lookup on pmd1: got %v via %v, want slow-path Allow", d.Verdict.Verdict, d.Path)
 	}
 	// The megaflow minted through pmd1 serves pmd2 without an upcall.
-	if d := pool.PMD(2).ProcessKey(2, k); d.Path == PathSlow {
-		t.Fatal("pmd2 took the slow path for a flow pmd1 already installed; tiers are not shared")
+	if d := pool.PMD(2).ProcessKey(2, k); d.Path != PathMegaflow {
+		t.Fatalf("pmd2 answered a flow pmd1 already installed via %v, want the shared megaflow", d.Path)
 	}
 	if pool.PMD(2).Counters().Upcalls != 0 {
 		t.Fatal("pmd2 charged an upcall for a shared-cache hit")
 	}
-	if pool.PMD(0).ShardedMegaflow() != pool.PMD(1).ShardedMegaflow() {
-		t.Fatal("PMD views disagree on the sharded megaflow instance")
+	// Both views now answer from their private front caches.
+	for _, i := range []int{1, 2} {
+		if d := pool.PMD(i).ProcessKey(3, k); d.Path != PathEMC && d.Path != PathSMC {
+			t.Fatalf("pmd%d did not cache the flow in its front caches: path %v", i, d.Path)
+		}
+	}
+	// A rule change must reach every view's private caches.
+	var deny flow.Match
+	deny.Key.Set(flow.FieldIPSrc, 0x0a00a001)
+	deny.Mask.SetPrefix(flow.FieldIPSrc, 32)
+	pool.InstallRule(flowtable.Rule{Match: deny, Priority: 20, Action: flowtable.Action{Verdict: flowtable.Deny}})
+	for i := 0; i < pool.N(); i++ {
+		d := pool.PMD(i).ProcessKey(4, k)
+		if d.Path == PathEMC || d.Path == PathSMC {
+			t.Fatalf("pmd%d answered from its front caches after the rule change", i)
+		}
+		if d.Verdict.Verdict != flowtable.Deny {
+			t.Fatalf("pmd%d served %v after the rule change, want Deny", i, d.Verdict.Verdict)
+		}
 	}
 
 	for _, tc := range []struct {

@@ -8,14 +8,25 @@ import (
 	"policyinject/internal/flow"
 )
 
-// TierReader is the read side of a cache tier: the methods the packet
-// walk calls on its hot path, plus the counter snapshot. On an ordinary
-// Tier the reader shares the owner goroutine with the writer — reads are
-// never concurrent with anything. A tier that additionally declares
-// ConcurrentTier promises its reader methods (and the BatchTier /
-// RunCoalescer extensions) are safe from any number of goroutines
-// concurrently with its TierWriter methods.
-type TierReader interface {
+// Tier is one layer of the fast-path cache hierarchy. The switch walks
+// its tiers in order on every burst: the first hit wins and the winning
+// entry is promoted into every earlier tier, so upper tiers behave as
+// cheap front caches for the authoritative megaflow store below them.
+// Every walked tier must also be a BatchTier (New panics otherwise);
+// Lookup is the per-key probe of single-packet bursts, same-flow run
+// heads and the post-upcall re-probe.
+//
+// The cost returned by Lookup is in "megaflow subtables visited" — the
+// paper's per-packet cost metric. Exact-match tiers (EMC, SMC) cost 0;
+// the TSS tier reports its scan length whether it hits or misses.
+//
+// Concurrency contract: a plain Tier is owned by one goroutine — the
+// switch serializes every call, and experiments drive the switch like a
+// single PMD thread. Only tiers declaring ConcurrentTier may be shared
+// across goroutines; dataplane.New enforces the declaration for WithTiers
+// hierarchies combined with WithShards, and NewSharedPMDPool for the
+// tiers its views share.
+type Tier interface {
 	// Name identifies the tier in counters and dumps ("emc", "smc",
 	// "megaflow", ...).
 	Name() string
@@ -25,16 +36,7 @@ type TierReader interface {
 	Lookup(k flow.Key, now uint64) (ent *cache.Entry, cost int, ok bool)
 	// Stats returns a snapshot of the tier's counters.
 	Stats() TierStats
-}
 
-// TierWriter is the write side of a cache tier: installs from promotion
-// or the slow path, and the maintenance entry points the revalidator
-// drives (Flush, EvictIdle; LimitedTier and RevalidatableTier extend
-// this side). On an ordinary Tier every writer call must be serialized
-// with every reader call by the owning goroutine; a ConcurrentTier
-// serializes internally (per-shard insert locks) and accepts writer
-// calls concurrent with reader traffic.
-type TierWriter interface {
 	// Install caches a reference produced by a lower tier or the slow
 	// path. Authoritative tiers (which mint their own entries via
 	// MegaflowInstaller) may treat this as a no-op.
@@ -46,42 +48,28 @@ type TierWriter interface {
 	EvictIdle(deadline uint64) int
 }
 
-// Tier is one layer of the fast-path cache hierarchy: the read side and
-// the write side together. The switch walks its tiers in order on every
-// packet: the first hit wins and the winning entry is promoted into
-// every earlier tier, so upper tiers behave as cheap front caches for
-// the authoritative megaflow store below them.
-//
-// The cost returned by Lookup is in "megaflow subtables visited" — the
-// paper's per-packet cost metric. Exact-match tiers (EMC, SMC) cost 0;
-// the TSS tier reports its scan length whether it hits or misses.
-//
-// Concurrency contract: a plain Tier is owned by one goroutine — the
-// switch serializes TierReader and TierWriter calls, and experiments
-// drive the switch like a single PMD thread. Only tiers declaring
-// ConcurrentTier may be shared across goroutines; dataplane.New enforces
-// the declaration for sharded hierarchies (WithShards) and
-// NewSharedPMDPool for pools sharing one switch.
-type Tier interface {
-	TierReader
-	TierWriter
-}
-
-// ConcurrentTier is the capability marking a tier safe for multi-writer
-// use — the contract of the sharded wrappers:
+// ConcurrentTier is the capability marking a tier whose cache may be
+// shared across goroutines — the contract of the sharded megaflow, the
+// one cache every PMD of a shared pool reads and installs into (the EMC
+// and SMC stay per PMD, as in OVS-DPDK):
 //
 //   - Lookup, LookupBatch and AccountRun may run from any number of
 //     goroutines concurrently with each other AND with Install,
-//     InstallHashed, InsertMegaflow(Hashed), EvictIdle, TrimToLimit,
-//     SetFlowLimit, Revalidate and Flush;
+//     InsertMegaflow(Hashed), EvictIdle, TrimToLimit, SetFlowLimit,
+//     Revalidate and Flush;
 //   - writer calls serialize internally (per-shard locks), so two
 //     goroutines may install concurrently;
 //   - Stats and Name/Path are always safe.
 //
+// The one piece of state not shared is LookupBatch's burst scratch,
+// which belongs to the tier adapter: concurrent burst walkers each use
+// their own adapter over the shared cache (NewSharedPMDPool gives every
+// view one).
+//
 // Counter snapshots taken while traffic is in flight are coherent per
-// shard, not across shards. dataplane.New panics when a WithShards
-// hierarchy (or a WithTiers hierarchy combined with WithShards) contains
-// a tier that does not declare this capability.
+// shard, not across shards. dataplane.New panics when a WithTiers
+// hierarchy combined with WithShards contains a tier that does not
+// declare this capability.
 type ConcurrentTier interface {
 	Tier
 	// ConcurrencySafe is a marker; implementations do nothing.
@@ -89,9 +77,8 @@ type ConcurrentTier interface {
 }
 
 // BatchTier is the vectorized capability of a tier: resolving a whole
-// burst in one call. The switch's batched tier walk prefers it over
-// per-key Lookup; tiers without it are probed key by key by the generic
-// fallback, so custom WithTiers hierarchies keep working unchanged.
+// burst in one call. The switch's tier walk calls nothing else, so every
+// walked tier must implement it (New panics otherwise).
 type BatchTier interface {
 	Tier
 	// LookupBatch consults the tier for every key whose index is set in
@@ -216,7 +203,8 @@ func (ts TierStats) String() string {
 	return s
 }
 
-// EMCTier adapts the exact-match cache to the Tier interface.
+// EMCTier adapts the exact-match cache to the Tier interface. Each PMD
+// owns its own, so the tier is a plain (single-goroutine) Tier.
 type EMCTier struct{ emc *cache.EMC }
 
 // NewEMCTier builds an EMC tier per cfg.
@@ -257,7 +245,8 @@ func (t *EMCTier) Stats() TierStats {
 	}
 }
 
-// SMCTier adapts the signature-match cache to the Tier interface.
+// SMCTier adapts the signature-match cache to the Tier interface. Like
+// the EMC, each PMD owns its own.
 type SMCTier struct{ smc *cache.SMC }
 
 // NewSMCTier builds an SMC tier per cfg.

@@ -38,8 +38,8 @@ type Fig3Config struct {
 	CovertPPS float64
 	// EMCEntries configures the exact-match cache; the default -1
 	// disables it, matching the OVS *kernel* datapath the paper's
-	// Kubernetes demo exercises (the kernel datapath has no EMC; see
-	// DESIGN.md). Set to +N for the userspace-datapath ablation.
+	// Kubernetes demo exercises (the kernel datapath has no EMC). Set to
+	// +N for the userspace-datapath ablation.
 	EMCEntries int
 	// SMC enables the OVS 2.10 signature-match cache tier — the
 	// post-paper hierarchy variant whose huge fingerprint table shields
