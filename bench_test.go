@@ -457,14 +457,15 @@ func BenchmarkGuardOverhead(b *testing.B) {
 			for i := range covert {
 				covert[i].Set(flow.FieldInPort, 66)
 			}
-			opts := append(arm.opts(), dataplane.WithMaxIdle(uint64(len(covert)/2)))
-			sw := attackSwitch(b, atk, false, opts...)
+			sw := attackSwitch(b, atk, false, arm.opts()...)
+			rev := revalidator.New(revalidator.Config{MaxIdle: uint64(len(covert) / 2)})
+			rev.Attach(sw)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now := uint64(i) + 1
 				sw.ProcessKey(now, covert[i%len(covert)])
 				if i%32 == 31 {
-					sw.RunRevalidator(now)
+					rev.Tick(now)
 				}
 			}
 			b.ReportMetric(float64(sw.Counters().Upcalls)/float64(b.N), "upcalls/op")

@@ -190,7 +190,8 @@ func runByName(res *scenario.Result, name string) (*scenario.VariantRun, error) 
 	return nil, fmt.Errorf("pack %s has no variant %q", res.Pack, name)
 }
 
-// fig3Summary renders a timeline run in the legacy Fig3Result shape.
+// fig3Summary renders a timeline run's one-line Fig. 3 summary: victim
+// throughput before and after the attack, and the peak mask count.
 func fig3Summary(r *scenario.VariantRun) string {
 	s := r.Summary
 	return fmt.Sprintf("victim %.3f -> %.3f Gbps (%.0f%% degradation), peak %d megaflow masks",
@@ -205,9 +206,9 @@ func renamed(r *scenario.VariantRun, series, suffix string) *metrics.Series {
 	return &s
 }
 
-// fig3 runs the fig3 scenario pack (fig3-quick under -quick): the same
-// vanilla / smc / staged-pruning triple the hand-wired timeline used to
-// build, now declared in scenarios/fig3.yaml. The smc variant is the
+// fig3 runs the fig3 scenario pack (fig3-quick under -quick): the
+// vanilla / smc / staged-pruning triple declared in scenarios/fig3.yaml,
+// summarised one line per variant. The smc variant is the
 // post-paper counterpoint (the huge signature-match cache keeps warm
 // victim flows off the exploded mask scan); the pruned variant shows the
 // OVS countermeasure pair rejecting the covert ladder without hash

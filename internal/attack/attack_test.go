@@ -8,6 +8,7 @@ import (
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/revalidator"
 )
 
 // installACL compiles the attack ACL into a fresh switch.
@@ -152,10 +153,13 @@ func TestReplayIsIdempotent(t *testing.T) {
 func TestReplayKeepsEntriesAliveAgainstRevalidator(t *testing.T) {
 	a := SingleField()
 	sw := installACL(t, a)
+	rev := revalidator.New(revalidator.Config{})
+	rev.Attach(sw)
 	a.Execute(sw, 0)
 	for now := uint64(5); now <= 50; now += 5 { // refresh every 5 < MaxIdle 10
 		a.Execute(sw, now)
-		if evicted := sw.RunRevalidator(now); evicted != 0 {
+		rev.Tick(now)
+		if evicted := rev.Stats().Last.IdleEvicted; evicted != 0 {
 			t.Fatalf("t=%d: revalidator evicted %d refreshed entries", now, evicted)
 		}
 	}
@@ -163,7 +167,8 @@ func TestReplayKeepsEntriesAliveAgainstRevalidator(t *testing.T) {
 		t.Fatalf("masks decayed to %d", sw.Megaflow().NumMasks())
 	}
 	// Without refresh they die.
-	if evicted := sw.RunRevalidator(100); evicted != 8 {
+	rev.Tick(100)
+	if evicted := rev.Stats().Last.IdleEvicted; evicted != 8 {
 		t.Fatalf("idle eviction removed %d, want 8", evicted)
 	}
 }

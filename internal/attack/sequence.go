@@ -111,7 +111,7 @@ type Verification struct {
 // prediction assumes a pristine classifier, while co-resident tenants'
 // whitelists share the per-field tries and perturb a few divergence
 // depths, merging a handful of combinations (measured ~3% for a /24
-// victim whitelist; see EXPERIMENTS.md).
+// victim whitelist).
 func (v Verification) Achieved() bool { return v.Injected*10 >= v.Predicted*9 }
 
 func (v Verification) String() string {

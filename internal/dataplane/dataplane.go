@@ -62,7 +62,6 @@ type config struct {
 	smc        *cache.SMCConfig
 	megaflow   cache.MegaflowConfig
 	classifier classifier.Config
-	maxIdle    uint64
 	conntrack  *conntrack.Config
 	tiers      []Tier // custom hierarchy (tiersSet): other cache opts ignored
 	tiersSet   bool
@@ -123,10 +122,6 @@ func WithStagedPruning() Option { return func(c *config) { c.staged = true } }
 
 // WithClassifier sets the slow-path classifier configuration.
 func WithClassifier(cfg classifier.Config) Option { return func(c *config) { c.classifier = cfg } }
-
-// WithMaxIdle sets the revalidator idle timeout in logical time units
-// (default 10, the OVS max-idle of 10s at one unit per second).
-func WithMaxIdle(units uint64) Option { return func(c *config) { c.maxIdle = units } }
 
 // WithConntrack attaches a connection tracker so stateful ACLs
 // (Recirc/Commit actions) work. Stateless rule sets are unaffected.
@@ -232,11 +227,10 @@ type Port struct {
 // experiments drive it from one goroutine, as a single PMD thread would.
 // For the multi-core view, see PMDPool.
 type Switch struct {
-	name    string
-	maxIdle uint64
-	table   flowtable.Table
-	cls     *classifier.Classifier
-	ports   map[uint32]*Port
+	name  string
+	table flowtable.Table
+	cls   *classifier.Classifier
+	ports map[uint32]*Port
 
 	tiers      []Tier
 	batchTiers []BatchTier // tiers, as the batch tiers the walk calls
@@ -301,9 +295,6 @@ func buildConfig(opts []Option) config {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.maxIdle == 0 {
-		cfg.maxIdle = 10
-	}
 	if cfg.staged {
 		cfg.megaflow.StagedPruning = true
 	}
@@ -331,7 +322,6 @@ func newSwitch(name string, cfg *config) *Switch {
 	}
 	s := &Switch{
 		name:       name,
-		maxIdle:    cfg.maxIdle,
 		cls:        classifier.New(cfg.classifier),
 		ports:      make(map[uint32]*Port),
 		noCoalesce: cfg.noCoalesce,
@@ -911,29 +901,6 @@ func (s *Switch) account(v cache.Verdict) {
 	} else {
 		s.counters.Denied++
 	}
-}
-
-// RunRevalidator performs one inline maintenance sweep: evict cache
-// entries idle past the configured timeout (tier by tier) and expire stale
-// conntrack entries. Returns the eviction count.
-//
-// This is the legacy synchronous sweep, kept as the conformance baseline
-// for the clock-driven actor that now owns cache maintenance (package
-// revalidator: sharded dump workers, dump-duration measurement, adaptive
-// flow-limit backoff). New timelines should attach the switch to a
-// revalidator.Revalidator instead of calling this.
-func (s *Switch) RunRevalidator(now uint64) int {
-	if s.ct != nil {
-		s.ct.Expire(now)
-	}
-	if now < s.maxIdle {
-		return 0
-	}
-	evicted := 0
-	for _, t := range s.tiers {
-		evicted += t.EvictIdle(now - s.maxIdle)
-	}
-	return evicted
 }
 
 // Conntrack exposes the connection tracker, or nil when stateless.

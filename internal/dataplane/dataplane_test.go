@@ -179,31 +179,6 @@ func TestRemoveRuleFlushesCaches(t *testing.T) {
 	}
 }
 
-func TestRevalidatorEvictsIdleMegaflows(t *testing.T) {
-	s := aclSwitch(WithMaxIdle(10))
-	s.ProcessKey(1, tcpKey(0x0a000001, 0, 1, 2))
-	s.ProcessKey(1, tcpKey(0xc0000001, 0, 1, 2))
-	if s.Megaflow().Len() != 2 {
-		t.Fatalf("megaflows = %d", s.Megaflow().Len())
-	}
-	// Keep the first alive, let the second idle out.
-	s.ProcessKey(15, tcpKey(0x0a000001, 0, 3, 4)) // megaflow hit refreshes
-	if evicted := s.RunRevalidator(22); evicted != 1 {
-		t.Fatalf("evicted = %d", evicted)
-	}
-	if s.Megaflow().Len() != 1 {
-		t.Fatalf("megaflows after reval = %d", s.Megaflow().Len())
-	}
-}
-
-func TestRevalidatorEarlyClock(t *testing.T) {
-	s := aclSwitch(WithMaxIdle(10))
-	s.ProcessKey(1, tcpKey(0x0a000001, 0, 1, 2))
-	if evicted := s.RunRevalidator(5); evicted != 0 {
-		t.Fatalf("evicted = %d before idle horizon", evicted)
-	}
-}
-
 func TestInstallErrCountedOnFlowLimit(t *testing.T) {
 	s := New("br0", WithMegaflow(cache.MegaflowConfig{FlowLimit: 1}))
 	s.InstallRule(flowtable.Rule{Priority: 0}) // deny *

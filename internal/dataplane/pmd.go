@@ -189,7 +189,6 @@ func newSharedView(primary *Switch, name string, cfg *config) *Switch {
 	}
 	s := &Switch{
 		name:       name,
-		maxIdle:    primary.maxIdle,
 		cls:        primary.cls,
 		ports:      make(map[uint32]*Port),
 		noCoalesce: primary.noCoalesce,
@@ -302,20 +301,4 @@ func (p *PMDPool) MasksPerPMD() []int {
 		}
 	}
 	return out
-}
-
-// RunRevalidator sweeps every PMD inline — the legacy maintenance hook;
-// the revalidator actor attaches each PMD as its own dump shard instead
-// (revalidator.Revalidator.AttachPool). A shared pool sweeps once,
-// through the primary: the megaflow is the same object on every view,
-// and the views' front caches invalidate lazily.
-func (p *PMDPool) RunRevalidator(now uint64) int {
-	if p.shared {
-		return p.pmds[0].RunRevalidator(now)
-	}
-	n := 0
-	for _, sw := range p.pmds {
-		n += sw.RunRevalidator(now)
-	}
-	return n
 }

@@ -172,7 +172,4 @@ func TestPMDPoolDefaults(t *testing.T) {
 	if pool.PMD(0) == nil {
 		t.Fatal("missing pmd")
 	}
-	if got := pool.RunRevalidator(100); got != 0 {
-		t.Fatalf("revalidator on empty pool evicted %d", got)
-	}
 }

@@ -192,8 +192,7 @@ func (t *mfShardTier) Stats() TierStats {
 // ShardTarget is one shard of a sharded switch as a revalidation
 // target: revalidator.Revalidator.AttachSharded attaches each as its
 // own dump shard, so workers sweep shard-by-shard — each sweep excludes
-// only its shard's readers instead of serializing the whole switch
-// behind one AttachLocked mutex. Shard 0's target additionally carries
+// only its shard's readers, never the whole switch. Shard 0's target additionally carries
 // the switch's conntrack table (expired once per round) and every
 // target exposes the (read-pure) slow-path classifier for the policy
 // consistency pass.
@@ -221,11 +220,11 @@ func (t *ShardTarget) Conntrack() *conntrack.Table { return t.ct }
 func (t *ShardTarget) Classifier() *classifier.Classifier { return t.cls }
 
 // ShardTargets returns one revalidation target per megaflow shard, or
-// nil when the hierarchy is not sharded. This is the per-shard
-// attachment surface superseding revalidator.AttachLocked for sharded
-// switches: pass them to revalidator.Revalidator.AttachSharded (or
-// Attach each) and maintenance proceeds shard-by-shard, concurrent with
-// datapath traffic, with no switch-wide lock.
+// nil when the hierarchy is not sharded. This is the attachment surface
+// for maintenance concurrent with traffic: pass them to
+// revalidator.Revalidator.AttachSharded (or Attach each) and maintenance
+// proceeds shard-by-shard, concurrent with datapath traffic, with no
+// switch-wide lock.
 func (s *Switch) ShardTargets() []*ShardTarget {
 	smt := s.shardedMegaflowTier()
 	if smt == nil {

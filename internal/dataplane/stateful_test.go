@@ -203,15 +203,3 @@ func TestStatefulMegaflowsAreStateScoped(t *testing.T) {
 		t.Fatalf("ct_state-scoped megaflow shapes = %d, want >= 3 (%v)", len(seen), seen)
 	}
 }
-
-func TestStatefulRevalidatorExpiresConns(t *testing.T) {
-	sw := statefulSwitch(t, conntrack.Config{IdleTimeout: 5})
-	sw.ProcessKey(1, tup("10.1.2.3", "172.16.0.1", 40000, 443).Key(1))
-	if sw.Conntrack().Len() != 1 {
-		t.Fatal("precondition")
-	}
-	sw.RunRevalidator(100)
-	if sw.Conntrack().Len() != 0 {
-		t.Fatal("idle connection survived the revalidator")
-	}
-}

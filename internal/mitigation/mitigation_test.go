@@ -27,7 +27,7 @@ func TestVanillaIsVulnerable(t *testing.T) {
 	o := out[0]
 	// The victim's own /24 whitelist shares trie paths with the attack
 	// values and perturbs a handful of divergence depths, so slightly
-	// fewer than the pristine 512 masks appear (see EXPERIMENTS.md).
+	// fewer than the pristine 512 masks appear.
 	if o.Masks < 480 {
 		t.Errorf("attack injected only %d masks", o.Masks)
 	}

@@ -1,7 +1,6 @@
 package revalidator
 
 import (
-	"sync"
 	"testing"
 
 	"policyinject/internal/dataplane"
@@ -40,51 +39,6 @@ func TestLimitCutPublishedToTier(t *testing.T) {
 	}
 	if got := sw.Counters().InstallErr; got != before+1 {
 		t.Fatalf("install errors %d, want %d (over-limit insert refused)", got, before+1)
-	}
-}
-
-// TestPushLimitConcurrentWithProcessFrames: limit cuts are published to
-// tiers mid-traffic under the shared datapath lock. Run with -race: the
-// publish takes each target's lock, so it cannot tear against a
-// ProcessFrames install reading the limit.
-func TestPushLimitConcurrentWithProcessFrames(t *testing.T) {
-	sw := testSwitch("pushrace", dataplane.WithoutEMC())
-	var mu sync.Mutex
-	// DumpRate 1 with 32 resident flows overruns every round, so the
-	// limit is cut (and pushed) while frames are in flight.
-	rev := New(Config{MaxIdle: 2, Workers: 2, DumpRate: 1, FlowLimit: 64, MinFlowLimit: 8})
-	rev.AttachLocked(sw, &mu)
-	sw2 := testSwitch("pushrace2", dataplane.WithoutEMC())
-	var mu2 sync.Mutex
-	rev.AttachLocked(sw2, &mu2)
-
-	frames := makeFrames(t, 32)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for now := uint64(0); now < 200; now++ {
-			rev.Tick(now)
-		}
-	}()
-	var fb dataplane.FrameBatch
-	var out []dataplane.Decision
-	for now := uint64(0); now < 200; now++ {
-		fb.Reset()
-		for i := range frames {
-			fb.Append(frames[i], 1)
-		}
-		mu.Lock()
-		out = sw.ProcessFrames(now, &fb, out)
-		mu.Unlock()
-	}
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if tier, rv := sw.Megaflow().FlowLimit(), rev.FlowLimit(); tier != rv {
-		t.Fatalf("tier flow limit %d diverged from the revalidator's %d", tier, rv)
-	}
-	if got := sw.Megaflow().Len(); got > rev.FlowLimit() {
-		t.Fatalf("%d megaflows resident over the %d limit", got, rev.FlowLimit())
 	}
 }
 

@@ -196,23 +196,17 @@ func (s Stats) String() string {
 		s.Last.Flows, s.Last.Duration, s.Last.IdleEvicted, s.Last.LimitEvicted, s.Last.PolicyFlushed)
 }
 
-// target pairs an attached Target with its optional lock.
-type target struct {
-	t  Target
-	mu sync.Locker
-}
-
 // Revalidator is the clock-driven maintenance actor. Attach targets, then
 // drive it with Tick(now) from the experiment's timeline loop. Tick itself
-// must be called from one goroutine at a time; within a round, targets
-// attached with AttachLocked may be swept concurrently with datapath
-// traffic serialized by the same lock.
+// must be called from one goroutine at a time; shard targets
+// (AttachSharded, AttachPool on a shared pool) may be swept concurrently
+// with datapath traffic.
 type Revalidator struct {
 	cfg     Config
 	limit   int
 	next    uint64
 	started bool
-	targets []target
+	targets []Target
 
 	stats   Stats
 	deltas  []roundDelta // per-worker scratch, reused each round
@@ -234,23 +228,9 @@ func New(cfg Config) *Revalidator {
 
 // Attach puts a target under maintenance. The revalidator assumes the
 // caller serializes datapath traffic and Tick externally (the timeline
-// loops do, by construction).
-func (r *Revalidator) Attach(t Target) { r.targets = append(r.targets, target{t: t}) }
-
-// AttachLocked is Attach for a target that is processed concurrently with
-// maintenance: the sweep takes mu for the duration of the target's dump,
-// and the datapath driver must hold the same lock around its
-// Process/ProcessFrames calls — one coarse mutex serializing the whole
-// switch against its own maintenance.
-//
-// For sharded switches this is superseded by AttachSharded: the sweep
-// then takes only per-shard locks, excluding one shard's readers at a
-// time instead of the whole datapath, and no driver-side lock is needed
-// at all. Keep AttachLocked for unsharded targets that must be swept
-// concurrently with traffic.
-func (r *Revalidator) AttachLocked(t Target, mu sync.Locker) {
-	r.targets = append(r.targets, target{t: t, mu: mu})
-}
+// loops do, by construction); to sweep concurrently with traffic, attach
+// a sharded switch with AttachSharded instead.
+func (r *Revalidator) Attach(t Target) { r.targets = append(r.targets, t) }
 
 // ShardedTarget is a datapath exposing per-shard revalidation targets —
 // dataplane.Switch with a WithShards hierarchy satisfies it
@@ -265,9 +245,9 @@ type ShardedTarget interface {
 // assignment then spreads the shards across revalidator threads, and
 // each shard's sweep runs under that shard's write lock only — datapath
 // traffic keeps flowing on every other shard (and on the swept shard's
-// insert path as soon as the sweep releases it). This supersedes
-// AttachLocked for sharded switches; no driver-side locking is
-// required.
+// insert path as soon as the sweep releases it). This and AttachPool are
+// the only ways to sweep concurrently with traffic; no driver-side
+// locking is required.
 func (r *Revalidator) AttachSharded(t ShardedTarget) int {
 	sts := t.ShardTargets()
 	for _, st := range sts {
@@ -428,21 +408,14 @@ func (r *Revalidator) runRound(now uint64) {
 }
 
 // pushLimit publishes the current flow limit to every attached limited
-// tier, taking each target's lock — the between-rounds half of a limit
-// adaptation (TrimToLimit stays with the next round's sweep).
+// tier — the between-rounds half of a limit adaptation (TrimToLimit stays
+// with the next round's sweep).
 func (r *Revalidator) pushLimit() {
-	for i := range r.targets {
-		tg := &r.targets[i]
-		if tg.mu != nil {
-			tg.mu.Lock()
-		}
-		for _, tier := range tg.t.Tiers() {
+	for _, tg := range r.targets {
+		for _, tier := range tg.Tiers() {
 			if lt, ok := tier.(dataplane.LimitedTier); ok {
 				lt.SetFlowLimit(r.limit)
 			}
-		}
-		if tg.mu != nil {
-			tg.mu.Unlock()
 		}
 	}
 }
@@ -452,7 +425,7 @@ func (r *Revalidator) pushLimit() {
 func (r *Revalidator) sweepShard(now uint64, wi int, maxIdle uint64) {
 	d := &r.deltas[wi]
 	for ti := wi; ti < len(r.targets); ti += r.cfg.Workers {
-		r.sweepTarget(now, &r.targets[ti], d, maxIdle)
+		r.sweepTarget(now, r.targets[ti], d, maxIdle)
 		d.targets++
 	}
 }
@@ -460,18 +433,14 @@ func (r *Revalidator) sweepShard(now uint64, wi int, maxIdle uint64) {
 // sweepTarget runs one target's share of the dump round: conntrack expiry,
 // the idle sweep, the flow-limit staleness trim, and (when enabled) the
 // policy/hard-timeout consistency pass.
-func (r *Revalidator) sweepTarget(now uint64, tg *target, d *roundDelta, maxIdle uint64) {
-	if tg.mu != nil {
-		tg.mu.Lock()
-		defer tg.mu.Unlock()
-	}
-	if ct, ok := tg.t.(conntracked); ok {
+func (r *Revalidator) sweepTarget(now uint64, tg Target, d *roundDelta, maxIdle uint64) {
+	if ct, ok := tg.(conntracked); ok {
 		if tbl := ct.Conntrack(); tbl != nil {
 			tbl.Expire(now)
 		}
 	}
-	check := r.checkFor(tg.t, now)
-	for _, tier := range tg.t.Tiers() {
+	check := r.checkFor(tg, now)
+	for _, tier := range tg.Tiers() {
 		lt, limited := tier.(dataplane.LimitedTier)
 		if limited {
 			// The flows the dump walks: the authoritative tier's residents

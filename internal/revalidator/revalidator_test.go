@@ -3,7 +3,6 @@ package revalidator
 import (
 	"math/rand"
 	"net/netip"
-	"sync"
 	"testing"
 
 	"policyinject/internal/cache"
@@ -48,14 +47,14 @@ func key(i int) flow.Key {
 	return k
 }
 
-// TestActorMatchesLegacySweep is the conformance property: on idle traffic
-// the clock-driven actor (one round per tick, defaults otherwise) leaves
-// the datapath in exactly the state the legacy inline RunRevalidator sweep
-// does, tick for tick.
+// TestActorMatchesLegacySweep is the conformance property: on idle
+// traffic the clock-driven actor (one round per tick, defaults otherwise)
+// leaves the datapath in exactly the state the retired inline sweep did,
+// tick for tick. The expected megaflow counts and evictions are that
+// sweep's, recorded before it was removed: flows last hit at t=0 expire
+// at t=11, the 16 refreshed at t=4 expire at t=15.
 func TestActorMatchesLegacySweep(t *testing.T) {
-	legacy := dataplane.New("conf")
-	actor := dataplane.New("conf") // same name: same EMC seed, same draws
-	exactRules(func(r flowtable.Rule) { legacy.InstallRule(r) }, 64)
+	actor := dataplane.New("conf")
 	exactRules(func(r flowtable.Rule) { actor.InstallRule(r) }, 64)
 	rev := New(Config{})
 	rev.Attach(actor)
@@ -63,28 +62,35 @@ func TestActorMatchesLegacySweep(t *testing.T) {
 	// Traffic with staggered last-hit times, then idle: installs at t=0,
 	// a partial refresh at t=4, silence after.
 	for i := 0; i < 64; i++ {
-		legacy.ProcessKey(0, key(i))
 		actor.ProcessKey(0, key(i))
 	}
 	for i := 0; i < 16; i++ {
-		legacy.ProcessKey(4, key(i))
 		actor.ProcessKey(4, key(i))
 	}
 	for now := uint64(0); now <= 40; now++ {
-		legacyEv := legacy.RunRevalidator(now)
+		wantLen, wantMasks, wantEv := 0, 0, 0
+		switch {
+		case now <= 10:
+			wantLen, wantMasks = 64, 1
+		case now <= 14:
+			wantLen, wantMasks = 16, 1
+		}
+		switch now {
+		case 11:
+			wantEv = 48
+		case 15:
+			wantEv = 16
+		}
 		rev.Tick(now)
-		if lm, am := legacy.Megaflow().Len(), actor.Megaflow().Len(); lm != am {
-			t.Fatalf("t=%d: legacy %d megaflows, actor %d", now, lm, am)
+		if got := actor.Megaflow().Len(); got != wantLen {
+			t.Fatalf("t=%d: %d megaflows, legacy sweep left %d", now, got, wantLen)
 		}
-		if lm, am := legacy.Megaflow().NumMasks(), actor.Megaflow().NumMasks(); lm != am {
-			t.Fatalf("t=%d: legacy %d masks, actor %d", now, lm, am)
+		if got := actor.Megaflow().NumMasks(); got != wantMasks {
+			t.Fatalf("t=%d: %d masks, legacy sweep left %d", now, got, wantMasks)
 		}
-		if legacyEv > 0 && rev.Stats().Last.IdleEvicted != legacyEv {
-			t.Fatalf("t=%d: legacy evicted %d, actor %d", now, legacyEv, rev.Stats().Last.IdleEvicted)
+		if got := rev.Stats().Last.IdleEvicted; got != wantEv {
+			t.Fatalf("t=%d: evicted %d, legacy sweep evicted %d", now, got, wantEv)
 		}
-	}
-	if got := actor.Megaflow().Len(); got != 0 {
-		t.Fatalf("idle traffic should fully age out, %d megaflows left", got)
 	}
 	st := rev.Stats()
 	if st.Rounds != 41 {
@@ -244,50 +250,6 @@ func makeFrames(t *testing.T, n int) [][]byte {
 		})
 	}
 	return frames
-}
-
-// TestRevalidationConcurrentWithProcessFrames is the race check: a target
-// attached with a lock is swept by the actor's workers while the datapath
-// processes frame bursts under the same lock. Run with -race.
-func TestRevalidationConcurrentWithProcessFrames(t *testing.T) {
-	sw := testSwitch("race", dataplane.WithoutEMC())
-	var mu sync.Mutex
-	rev := New(Config{MaxIdle: 2, Workers: 2, DumpRate: 16})
-	rev.AttachLocked(sw, &mu)
-	// A second locked target so the round fans out across real worker
-	// goroutines.
-	sw2 := testSwitch("race2", dataplane.WithoutEMC())
-	var mu2 sync.Mutex
-	rev.AttachLocked(sw2, &mu2)
-
-	frames := makeFrames(t, 32)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for now := uint64(0); now < 200; now++ {
-			rev.Tick(now)
-		}
-	}()
-	var fb dataplane.FrameBatch
-	var out []dataplane.Decision
-	for now := uint64(0); now < 200; now++ {
-		fb.Reset()
-		for i := range frames {
-			fb.Append(frames[i], 1)
-		}
-		mu.Lock()
-		out = sw.ProcessFrames(now, &fb, out)
-		mu.Unlock()
-	}
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if got := sw.Counters().Packets; got != 200*32 {
-		t.Fatalf("processed %d packets, want %d", got, 200*32)
-	}
-	if rev.Stats().Rounds == 0 {
-		t.Fatal("no revalidator rounds ran")
-	}
 }
 
 // TestAttachPool: every PMD becomes its own dump shard.

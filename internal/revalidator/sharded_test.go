@@ -116,3 +116,75 @@ loop:
 		t.Fatalf("%d megaflows survived post-traffic sweeps", n)
 	}
 }
+
+// driveShardedConcurrently pushes 200 bursts of frames through a sharded
+// switch while a second goroutine runs one revalidator round per burst:
+// round t overlaps burst t, and burst t+1 starts only once round t is
+// handed off. There is no driver-side lock: the per-shard locks are the
+// only synchronisation between the sweeps and the traffic.
+func driveShardedConcurrently(t *testing.T, sw *dataplane.Switch, rev *Revalidator, frames [][]byte) {
+	t.Helper()
+	if n := rev.AttachSharded(sw); n != 4 {
+		t.Fatalf("attached %d shard targets, want 4", n)
+	}
+	ticks, ticked := make(chan uint64), make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for now := range ticks {
+			rev.Tick(now)
+		}
+	}()
+	var fb dataplane.FrameBatch
+	var out []dataplane.Decision
+	for now := uint64(0); now < 200; now++ {
+		ticks <- now
+		fb.Reset()
+		for i := range frames {
+			fb.Append(frames[i], 1)
+		}
+		out = sw.ProcessFrames(now, &fb, out)
+	}
+	close(ticks)
+	<-ticked
+}
+
+// TestShardedRevalidationConcurrentWithProcessFrames is the race check:
+// the actor's workers sweep a sharded switch shard by shard while the
+// datapath processes frame bursts. Run with -race.
+func TestShardedRevalidationConcurrentWithProcessFrames(t *testing.T) {
+	sw := dataplane.New("race", dataplane.WithoutEMC(), dataplane.WithShards(4))
+	exactRules(func(r flowtable.Rule) { sw.InstallRule(r) }, 32)
+	// Four shard targets over two workers: every round fans out across
+	// real worker goroutines.
+	rev := New(Config{MaxIdle: 2, Workers: 2, DumpRate: 16})
+	driveShardedConcurrently(t, sw, rev, makeFrames(t, 32))
+	if got := sw.Counters().Packets; got != 200*32 {
+		t.Fatalf("processed %d packets, want %d", got, 200*32)
+	}
+	if got := rev.Stats().Rounds; got != 200 {
+		t.Fatalf("%d revalidator rounds ran, want one per burst (200)", got)
+	}
+}
+
+// TestShardedPushLimitConcurrentWithProcessFrames: limit cuts are
+// published to the shards mid-traffic. Run with -race: the publish takes
+// each shard's lock, so it cannot tear against a ProcessFrames install
+// reading the limit.
+func TestShardedPushLimitConcurrentWithProcessFrames(t *testing.T) {
+	sw := dataplane.New("pushrace", dataplane.WithoutEMC(), dataplane.WithShards(4))
+	exactRules(func(r flowtable.Rule) { sw.InstallRule(r) }, 32)
+	// DumpRate 1 with the 32 flows resident overruns every round, so the
+	// limit is cut (and pushed) while frames are in flight.
+	rev := New(Config{MaxIdle: 2, Workers: 2, DumpRate: 1, FlowLimit: 64, MinFlowLimit: 8})
+	driveShardedConcurrently(t, sw, rev, makeFrames(t, 32))
+	smf := sw.ShardedMegaflow()
+	if rv := rev.FlowLimit(); rv >= 64 {
+		t.Fatalf("flow limit %d never cut below the 64 ceiling under overrunning dumps", rv)
+	}
+	if tier, rv := smf.FlowLimit(), rev.FlowLimit(); tier != rv {
+		t.Fatalf("tier flow limit %d diverged from the revalidator's %d", tier, rv)
+	}
+	if got := smf.Len(); got > rev.FlowLimit() {
+		t.Fatalf("%d megaflows resident over the %d limit", got, rev.FlowLimit())
+	}
+}

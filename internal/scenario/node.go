@@ -120,7 +120,7 @@ func parseYAML(file string, data []byte) (*node, error) {
 		p.lines = append(p.lines, yamlLine{indent: indent, text: trimmed[indent:], lineNum: lineNum})
 	}
 	if len(p.lines) == 0 {
-		return nil, fmt.Errorf("%s: empty document", file)
+		return nil, fmt.Errorf("%s:1: empty document", file)
 	}
 	n, err := p.parseBlock(p.lines[0].indent)
 	if err != nil {

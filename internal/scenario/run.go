@@ -223,8 +223,8 @@ func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *re
 	})
 }
 
-// defaultVictimPolicy is the whitelist the hand-wired timelines install:
-// allow the client's /24 to the iperf port, deny the rest.
+// defaultVictimPolicy is the whitelist a pack's victim gets when it
+// declares none: allow the client's /24 to the iperf port, deny the rest.
 func defaultVictimPolicy(client netip.Addr) *PolicySpec {
 	return &PolicySpec{Entries: []EntrySpec{{
 		Src:     netip.PrefixFrom(client, 24).Masked(),
@@ -315,8 +315,8 @@ func (p *pcapReplay) NextFrame() ([]byte, uint32) {
 // shape (one hypervisor node, victim pod + optional attacker pod +
 // declared tenant pods), the declared traffic, and the attack schedule.
 // Each tick runs churn -> inject -> covert burst -> background streams ->
-// victim drive -> revalidator round -> gauge recording; the post-round
-// recording matches the legacy RunFlowLimit loop exactly.
+// victim drive -> revalidator round -> gauge recording, so the recorded
+// gauges show each tick's state after its maintenance round.
 func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	duration := p.Duration
 	if opt.Duration > 0 {
@@ -421,9 +421,8 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		return nil, err
 	}
 
-	// Tenant pods after the victim and attacker, so the victim keeps the
-	// legacy IP/port allocation and the differential packs reproduce the
-	// hand-wired numbers.
+	// Tenant pods after the victim and attacker, so adding tenants to a
+	// pack never moves the victim's or the attacker's IP and port.
 	for _, t := range p.Tenants {
 		pod, err := cluster.DeployPod(t.Name, t.Pod, "server-1")
 		if err != nil {
@@ -721,7 +720,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 }
 
 // meanWindows computes the pre/post-attack throughput means with the
-// legacy fig-3 windows: before = [start/2, start), after = [start+10, end).
+// Fig. 3 windows: before = [start/2, start), after = [start+10, end).
 // Without an attack both windows cover the whole run.
 func meanWindows(s *metrics.Series, attacked bool, start, duration int) (before, after float64) {
 	if !attacked {

@@ -1,14 +1,15 @@
-// Package sim is the experiment engine: it drives a dataplane with the
-// victim and attacker workloads on a deterministic tick clock, measures
-// real per-packet processing cost of the actual Go implementation, and
-// converts cost into achievable throughput.
+// Package sim is the cost model the experiments measure with: it times
+// real bursts through a pipeline (MeasureCost), converts per-packet cost
+// into the throughput one forwarding core sustains under an offered load
+// (Throughput, Gbps, PPSFor), and sweeps lookup cost against the megaflow
+// mask count (RunSweep).
 //
-// Methodology (see EXPERIMENTS.md): absolute Gbps of the paper's testbed
-// cannot be reproduced on an arbitrary host, so the simulator measures the
-// *real* cost of the real cache/classifier code and reports throughput as
-// min(offered, budget/cost) for a single forwarding core. Shape — who
-// wins, where the knee is, the relative collapse — is what the experiments
-// assert.
+// Absolute Gbps of the paper's testbed cannot be reproduced on an
+// arbitrary host, so throughput is reported as min(offered, budget/cost)
+// for the real cost of the real cache and classifier code. Shape — who
+// wins, where the knee is, the relative collapse — is what experiments
+// assert. The timelines themselves (Fig. 3, the flow-limit collapse) are
+// scenario packs: see internal/scenario and scenarios/.
 package sim
 
 import (
