@@ -29,6 +29,13 @@ func (b *Bitmap) Reset(n int) {
 	b.n = n
 }
 
+// One returns a length-1 bitmap holding index 0, backed by *w: a
+// one-key sweep keeps both on its own stack and allocates nothing.
+func One(w *[1]uint64) Bitmap {
+	w[0] = 1
+	return Bitmap{words: w[:], n: 1}
+}
+
 // Len returns the index capacity set by Reset.
 func (b *Bitmap) Len() int { return b.n }
 

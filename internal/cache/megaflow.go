@@ -86,6 +86,9 @@ type Entry struct {
 	// Atomic because the evicting shard and a reference tier's reader
 	// hold different locks.
 	dead atomic.Bool
+	// shard is the index of the ShardedMegaflow shard that minted the
+	// entry (0 outside a sharded cache), so a coalesced run bills it.
+	shard uint8
 }
 
 // Dead reports whether the entry has been evicted from the megaflow cache
@@ -121,8 +124,8 @@ func (st *mfSubtable) credit(n, now uint64) {
 	}
 }
 
-// Megaflow is the TSS-based megaflow cache. Its flat Lookup and
-// LookupBatch are safe for any number of concurrent callers as long as
+// Megaflow is the TSS-based megaflow cache. Its flat Lookup, LookupBatch
+// and AccountRun are safe for any number of concurrent callers as long as
 // nothing mutates the cache meanwhile — ShardedMegaflow runs them under a
 // shard read lock. Everything else (inserts, maintenance, staged and
 // sorted lookups) needs exclusive access.
@@ -136,6 +139,7 @@ type Megaflow struct {
 
 	sinceSort int
 	lastRank  uint64 // Lookups value at the last EWMA re-ranking
+	shard     uint8  // stamped on minted entries (Entry.shard)
 
 	batchCost []int // per-key scan-cost scratch of the staged batch sweep
 
@@ -158,9 +162,10 @@ type Megaflow struct {
 	// SubtableVisits counts subtables actually costed (a stage hash or a
 	// full probe ran); SubtablePrunes counts per-key visits avoided by
 	// the signature/ports prefilters (burst-level skips bill one prune
-	// per remaining key, so scalar and batch sweeps count identically);
+	// per remaining key, so Lookup and LookupBatch count identically);
 	// StageBails is the subset of visits rejected at a stage-hash index
-	// before the full probe; BurstSweeps counts LookupBatch sweeps.
+	// before the full probe; BurstSweeps counts LookupBatch sweeps (a
+	// Lookup is a one-key sweep and does not count).
 	SubtableVisits, SubtablePrunes, StageBails, BurstSweeps uint64
 }
 
@@ -207,26 +212,20 @@ func (m *Megaflow) Len() int { return m.nEntries }
 // headline quantity.
 func (m *Megaflow) NumMasks() int { return len(m.subtables) }
 
-// Lookup scans the subtables in order, one hash probe per mask, returning
-// the first hit. The returned scan count is the number of subtables
-// visited, the direct cost measure of TSS.
+// Lookup resolves one key: the LookupBatch sweep run over a one-key
+// burst, so the per-key probe (the scalar walk, the post-upcall
+// re-probe) and the burst walk share one routine per mode. The returned
+// scan count is the number of subtables visited, the direct cost measure
+// of TSS. Unlike LookupBatch it does not count a BurstSweeps sweep.
 func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
-	if m.cfg.StagedPruning {
-		return m.lookupStaged(k, now)
-	}
-	for si, st := range m.subtables {
-		if ent, ok := st.entries[st.mask.Apply(k)]; ok {
-			ent.credit(1, now)
-			st.credit(1, now)
-			m.publish(1, 0, uint64(si+1))
-			m.maybeResort()
-			return ent, si + 1, true
-		}
-	}
-	nSub := len(m.subtables)
-	m.publish(0, 1, uint64(nSub))
+	keys := [1]flow.Key{k}
+	var ents [1]*Entry
+	var costs [1]int
+	var w [1]uint64
+	miss := burst.One(&w)
+	m.sweep(keys[:], now, ents[:], costs[:], &miss)
 	m.maybeResort()
-	return nil, nSub, false
+	return ents[0], costs[0], ents[0] != nil
 }
 
 // LookupBatch is the burst-vectorized lookup: the loop is inverted so each
@@ -239,18 +238,14 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 //
 // For every key index set in miss: a hit writes ents[i], adds the scan
 // depth to costs[i] and clears the bit; a miss adds the full scan length
-// to costs[i] and keeps the bit. Counter and per-entry effects equal the
-// scalar Lookup sequence over the same keys; the counters are summed in
-// locals and published once per sweep. With SortByHits enabled the
-// sweep falls back to per-key scalar lookups, because re-sort boundaries
-// are clocked per lookup and the inverted loop would shift them mid-burst.
+// to costs[i] and keeps the bit. Counter and per-entry effects equal a
+// Lookup sequence over the same keys; the counters are summed in locals
+// and published once per sweep. With SortByHits enabled each key runs its
+// own one-key sweep, because re-sort boundaries are clocked per lookup and
+// the inverted loop would shift them mid-burst.
 //
 //lint:hotpath
 func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
-	if m.cfg.StagedPruning {
-		m.lookupBatchStaged(keys, now, ents, costs, miss)
-		return
-	}
 	if m.cfg.SortByHits {
 		words := miss.Words()
 		for wi := range words {
@@ -266,6 +261,19 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 				}
 			}
 		}
+		return
+	}
+	if m.cfg.StagedPruning {
+		m.BurstSweeps++
+	}
+	m.sweep(keys, now, ents, costs, miss)
+}
+
+// sweep is the one subtable sweep of the cache's mode, over every key
+// index set in miss: the staged sweep with pruning, or the flat one.
+func (m *Megaflow) sweep(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
+	if m.cfg.StagedPruning {
+		m.sweepStaged(keys, now, ents, costs, miss)
 		return
 	}
 	var hits, scanned uint64
@@ -301,7 +309,7 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 			hits += stHits
 		}
 	}
-	// Survivors paid the full sweep: bill them exactly as scalar misses.
+	// Survivors paid the full sweep: bill them as full-scan misses.
 	left := uint64(miss.Count())
 	if left > 0 {
 		scanned += left * uint64(nSub)
@@ -323,16 +331,16 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 // to n Lookup calls for a key resident at that depth. Returns false when
 // hit-count re-sorting is enabled: resorts are clocked per lookup, so
 // coalesced runs would shift the re-sort boundary and the caller must fall
-// back to real lookups.
+// back to real lookups. The counters are published atomically, as the
+// flat sweep's are.
 func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
 	if m.cfg.SortByHits {
 		return false
 	}
 	nn := uint64(n)
-	m.Lookups += nn
-	m.Hits += nn
-	m.MasksScanned += nn * uint64(cost)
-	m.RunBilledScans += nn * uint64(cost)
+	scans := nn * uint64(cost)
+	m.publish(nn, 0, scans)
+	atomic.AddUint64(&m.RunBilledScans, scans)
 	ent.credit(nn, now)
 	if st := m.byMask[ent.Match.Mask]; st != nil {
 		st.credit(nn, now)
@@ -417,14 +425,14 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 			return old, nil
 		}
 		old.dead.Store(true)
-		ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now}
+		ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now, shard: m.shard}
 		st.entries[match.Key] = ent
 		return ent, nil
 	}
 	if m.limit > 0 && m.nEntries >= m.limit {
 		return nil, ErrFlowLimit
 	}
-	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now}
+	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now, shard: m.shard}
 	st.entries[match.Key] = ent
 	st.addEntry(match.Key)
 	m.nEntries++

@@ -101,11 +101,6 @@ type ShardedMegaflow struct {
 	limit  atomic.Int64
 	shards []mfShard
 
-	// Run-coalescing accounting (AccountRun cannot know its entry's
-	// shard, so coalesced hits bill wrapper-level atomic counters that
-	// Snapshot folds into the totals).
-	runLookups, runHits, runScans uint64
-
 	// hookMu guards the cross-shard mask ledger below: the same logical
 	// mask may be resident in several shards (one subtable per shard),
 	// but the user-facing mask lifecycle — quota admission, Minted,
@@ -150,6 +145,7 @@ func NewShardedMegaflow(cfg MegaflowConfig, shards int) *ShardedMegaflow {
 	child.FlowLimit = perShardLimit(total, n)
 	for i := range sm.shards {
 		mf := NewMegaflow(child)
+		mf.shard = uint8(i)
 		mf.SetMaskHooks(MaskHooks{Admit: sm.admitShardMask, Minted: sm.shardMaskMinted, Dropped: sm.shardMaskDropped})
 		sm.shards[i].mf = mf
 	}
@@ -227,14 +223,10 @@ func (sm *ShardedMegaflow) NumMasks() int {
 	return len(sm.maskRef)
 }
 
-// Lookup probes the key's shard. Safe under any concurrency.
+// Lookup runs the child's one-key sweep on the key's shard. Safe under
+// any concurrency.
 func (sm *ShardedMegaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
-	return sm.LookupHashed(k, k.Hash(), now)
-}
-
-// LookupHashed is Lookup with the flow hash precomputed.
-func (sm *ShardedMegaflow) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, int, bool) {
-	sh := &sm.shards[sm.ShardIndex(h)]
+	sh := &sm.shards[sm.ShardIndex(k.Hash())]
 	if sm.staged {
 		// Staged pruning mutates ranking state on lookup: staged shards
 		// serialize their readers behind the write lock (still S-way
@@ -311,17 +303,22 @@ func (sm *ShardedMegaflow) LookupBatch(keys []flow.Key, hashes []uint64, now uin
 	miss.CopyFrom(split)
 }
 
-// AccountRun bills n coalesced hits of ent at scan depth cost. The
-// entry's shard is unknown here (runs are keyed by entry, not hash), so
-// the hits land on wrapper-level atomic counters and the entry itself —
-// no shard lock needed, everything is atomic.
+// AccountRun bills n coalesced hits of ent at scan depth cost to the
+// shard that minted ent, through the child's own AccountRun under that
+// shard's read lock (write lock for staged children, whose run credit
+// feeds the scan ranking).
 func (sm *ShardedMegaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
-	nn := uint64(n)
-	atomic.AddUint64(&sm.runLookups, nn)
-	atomic.AddUint64(&sm.runHits, nn)
-	atomic.AddUint64(&sm.runScans, nn*uint64(cost))
-	ent.credit(nn, now)
-	return true
+	sh := &sm.shards[ent.shard]
+	if sm.staged {
+		sh.mu.Lock()
+		ok := sh.mf.AccountRun(ent, n, cost, now)
+		sh.mu.Unlock()
+		return ok
+	}
+	sh.mu.RLock()
+	ok := sh.mf.AccountRun(ent, n, cost, now)
+	sh.mu.RUnlock()
+	return ok
 }
 
 // Insert installs a megaflow into the shard of the triggering key's
@@ -495,8 +492,8 @@ func (sm *ShardedMegaflow) ShardSnapshot(si int) MegaflowShardSnapshot {
 	}
 }
 
-// Snapshot aggregates every shard's counters plus the wrapper's
-// run-coalescing accounting; Masks is the global distinct-mask count.
+// Snapshot aggregates every shard's counters; Masks is the global
+// distinct-mask count.
 func (sm *ShardedMegaflow) Snapshot() MegaflowShardSnapshot {
 	var agg MegaflowShardSnapshot
 	for si := range sm.shards {
@@ -510,8 +507,5 @@ func (sm *ShardedMegaflow) Snapshot() MegaflowShardSnapshot {
 		agg.SubtablePrunes += s.SubtablePrunes
 	}
 	agg.Masks = sm.NumMasks()
-	agg.Hits += atomic.LoadUint64(&sm.runHits)
-	agg.Lookups += atomic.LoadUint64(&sm.runLookups)
-	agg.MasksScanned += atomic.LoadUint64(&sm.runScans)
 	return agg
 }

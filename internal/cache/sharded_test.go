@@ -186,8 +186,8 @@ func TestShardedMegaflowFlowLimitSplit(t *testing.T) {
 }
 
 // TestShardedMegaflowSnapshotAggregates: the aggregate snapshot folds
-// per-shard counters and the wrapper's coalesced-run accounting, and
-// Lookups == Hits + Misses holds through both.
+// the per-shard counters, coalesced runs included, and Lookups == Hits +
+// Misses holds through both.
 func TestShardedMegaflowSnapshotAggregates(t *testing.T) {
 	sm := cache.NewShardedMegaflow(cache.MegaflowConfig{}, 2)
 	k := confKey(0x0a000001, 443)
@@ -213,6 +213,22 @@ func TestShardedMegaflowSnapshotAggregates(t *testing.T) {
 	}
 	if ent.Hits != 8 {
 		t.Fatalf("entry Hits = %d, want 8", ent.Hits)
+	}
+	// The run is billed to the shard that minted ent: the shard snapshots
+	// sum to the aggregate, and the owning shard holds all 8 hits.
+	var sum cache.MegaflowShardSnapshot
+	for si := 0; si < sm.NumShards(); si++ {
+		ss := sm.ShardSnapshot(si)
+		sum.Hits += ss.Hits
+		sum.Misses += ss.Misses
+		sum.Lookups += ss.Lookups
+		sum.MasksScanned += ss.MasksScanned
+		if si == sm.ShardIndex(k.Hash()) && ss.Hits != 8 {
+			t.Errorf("owning shard %d Hits = %d, want 8", si, ss.Hits)
+		}
+	}
+	if sum.Hits != s.Hits || sum.Misses != s.Misses || sum.Lookups != s.Lookups || sum.MasksScanned != s.MasksScanned {
+		t.Errorf("shard snapshots sum to %+v, aggregate is %+v", sum, s)
 	}
 }
 
@@ -290,4 +306,56 @@ func FuzzShardedMegaflowConcurrent(f *testing.F) {
 			t.Fatalf("Lookups %d != Hits %d + Misses %d", s.Lookups, s.Hits, s.Misses)
 		}
 	})
+}
+
+// TestOneKeyLookupZeroAlloc pins the one-key sweep at 0 allocs per
+// call, hit and miss, in every lookup mode: flat, staged, SortByHits and
+// through the sharded wrapper. This is the switch's post-upcall re-probe
+// and scalar walk, which the frame-path alloc test does not reach.
+func TestOneKeyLookupZeroAlloc(t *testing.T) {
+	populate := func(insert func(flow.Match) error) {
+		for plen := 8; plen <= 32; plen += 4 {
+			var m flow.Match
+			m.Key.Set(flow.FieldIPSrc, 0x0a000000|uint64(plen))
+			m.Mask.SetPrefix(flow.FieldIPSrc, plen)
+			m.Mask.SetPrefix(flow.FieldTPDst, 16)
+			m.Key.Set(flow.FieldTPDst, 80)
+			if err := insert(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hit, miss := confKey(0x0a000008, 80), confKey(0x0b000001, 443)
+	check := func(name string, lookup func(flow.Key, uint64) (*cache.Entry, int, bool)) {
+		t.Helper()
+		if _, _, ok := lookup(hit, 1); !ok {
+			t.Fatalf("%s: resident key missed", name)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			lookup(hit, 2)
+			lookup(miss, 2)
+		}); a != 0 {
+			t.Errorf("%s: %.1f allocs per hit+miss lookup, want 0", name, a)
+		}
+	}
+	for name, cfg := range map[string]cache.MegaflowConfig{
+		"flat":       {},
+		"staged":     {StagedPruning: true},
+		"sortbyhits": {SortByHits: true},
+	} {
+		m := cache.NewMegaflow(cfg)
+		populate(func(match flow.Match) error { _, err := m.Insert(match, allowVerdict(), 1); return err })
+		check(name, m.Lookup)
+	}
+	for name, cfg := range map[string]cache.MegaflowConfig{
+		"sharded":        {},
+		"sharded-staged": {StagedPruning: true},
+	} {
+		sm := cache.NewShardedMegaflow(cfg, 4)
+		populate(func(match flow.Match) error {
+			_, err := sm.InsertHashed(match, allowVerdict(), 1, hit.Hash())
+			return err
+		})
+		check(name, sm.Lookup)
+	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"policyinject/internal/burst"
@@ -207,21 +208,24 @@ const (
 // prefilters first (free rejects), then the incremental stage-hash chain
 // (bail at the first non-matching stage), then the full masked map probe.
 // Only bails and full probes count as visits — that is the physical cost
-// the staged sweep reports. skipW0 elides the signature check when the
-// caller already proved it passes (the batched sweep does, for bursts
-// with a single word-0 signature); eliding a check that can only pass
-// keeps counters identical to the scalar sequence.
-func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0 bool) (*Entry, probeOutcome) {
+// the staged sweep reports. skipW0 and skipPorts elide the signature and
+// ports checks when the caller already proved they pass (the sweep does,
+// for bursts with a single word-0 signature or a single L4 port pair);
+// eliding a check that can only pass keeps counters identical to the
+// per-key sequence.
+func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0, skipPorts bool) (*Entry, probeOutcome) {
 	ss := st.staged
 	if !skipW0 && ss.w0vals != nil {
 		if _, ok := ss.w0vals[k[0]&ss.w0mask]; !ok {
 			return nil, probePruned
 		}
 	}
-	for i := range ss.ports {
-		pf := &ss.ports[i]
-		if v := pf.field.Get(k) & pf.pm; v < pf.min || v > pf.max {
-			return nil, probePruned
+	if !skipPorts {
+		for i := range ss.ports {
+			pf := &ss.ports[i]
+			if v := pf.field.Get(k) & pf.pm; v < pf.min || v > pf.max {
+				return nil, probePruned
+			}
 		}
 	}
 	h, next := flow.StageHashSeed, flow.Stage(0)
@@ -237,63 +241,22 @@ func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0 bool) (*Entry, probeOutcom
 	return nil, probeMissed
 }
 
-// lookupStaged is the scalar staged-pruning scan: ranked subtable order,
-// free prefilter rejects, stage-hash bails, full probes only where the
-// prefilters pass. Hit results equal the flat scan's; the returned cost
-// is the number of subtables physically costed (bails + full probes).
-func (m *Megaflow) lookupStaged(k flow.Key, now uint64) (*Entry, int, bool) {
-	m.Lookups++
-	cost := 0
-	for _, st := range m.subtables {
-		ent, outcome := st.stagedProbe(&k, false)
-		switch outcome {
-		case probePruned:
-			m.SubtablePrunes++
-			continue
-		case probeBailed:
-			cost++
-			m.SubtableVisits++
-			m.StageBails++
-			continue
-		case probeMissed:
-			cost++
-			m.SubtableVisits++
-			continue
-		}
-		cost++
-		m.SubtableVisits++
-		ent.credit(1, now)
-		st.credit(1, now)
-		st.staged.sinceRank++
-		m.Hits++
-		m.MasksScanned += uint64(cost)
-		m.maybeRank()
-		return ent, cost, true
-	}
-	m.Misses++
-	m.MasksScanned += uint64(cost)
-	m.maybeRank()
-	return nil, cost, false
-}
-
 // maxBurstSignatures caps the distinct word-0 signatures the burst-level
 // prefilter tracks; bursts with more fall back to per-key checks only.
 const maxBurstSignatures = 16
 
-// lookupBatchStaged is the staged-pruning variant of the inverted
-// subtable sweep. On top of the per-key staged probes it adds a
-// burst-level prefilter: a subtable whose stage-0 signature set matches
-// none of the burst's word-0 values, or whose L4 port range cannot
-// intersect the burst's, is skipped for the whole burst in O(1) — the
-// per-key prefilters would have rejected every key anyway (prefix
-// masking is monotonic, and the signature sets are exact), so per-key
-// counter effects equal the scalar staged sequence. Ranking is deferred
-// to the sweep boundary; exact batch==scalar equality therefore holds
-// for bursts that do not cross a RankEvery boundary.
-//
-//lint:hotpath
-func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
-	m.BurstSweeps++
+// sweepStaged is the staged-pruning variant of the inverted subtable
+// sweep, for a burst and for the one-key burst of Lookup alike. On top
+// of the per-key staged probes it adds a burst-level prefilter: a
+// subtable whose stage-0 signature set matches none of the burst's
+// word-0 values, or whose L4 port range cannot intersect the burst's, is
+// skipped for the whole burst in O(1) — the per-key prefilters would
+// have rejected every key anyway (prefix masking is monotonic, and the
+// signature sets are exact), so per-key counter effects equal a sequence
+// of one-key sweeps. Ranking is deferred to the sweep boundary; exact
+// batch==per-key equality therefore holds for bursts that do not cross a
+// RankEvery boundary.
+func (m *Megaflow) sweepStaged(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
 	if cap(m.batchCost) < len(keys) {
 		m.batchCost = make([]int, len(keys))
 	}
@@ -306,8 +269,8 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 	var w0 [maxBurstSignatures]uint64
 	nW0, w0ok := 0, true
 	tpSrc, tpDst := flow.FieldByID(flow.FieldTPSrc), flow.FieldByID(flow.FieldTPDst)
-	var srcMin, srcMax, dstMin, dstMax uint64
-	first := true
+	srcMin, dstMin := ^uint64(0), ^uint64(0)
+	var srcMax, dstMax uint64
 	preWords := miss.Words()
 	for wi := range preWords {
 		w := preWords[wi]
@@ -315,45 +278,23 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 			i := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			mfCost[i] = 0
-			if w0ok {
-				kw := keys[i][0]
-				seen := false
-				for _, have := range w0[:nW0] {
-					if have == kw {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					if nW0 < maxBurstSignatures {
-						w0[nW0] = kw
-						nW0++
-					} else {
-						w0ok = false
-					}
+			if kw := keys[i][0]; w0ok && !slices.Contains(w0[:nW0], kw) {
+				if nW0 == maxBurstSignatures {
+					w0ok = false
+				} else {
+					w0[nW0] = kw
+					nW0++
 				}
 			}
 			sp, dp := tpSrc.Get(&keys[i]), tpDst.Get(&keys[i])
-			if first {
-				srcMin, srcMax, dstMin, dstMax = sp, sp, dp, dp
-				first = false
-				continue
-			}
-			if sp < srcMin {
-				srcMin = sp
-			}
-			if sp > srcMax {
-				srcMax = sp
-			}
-			if dp < dstMin {
-				dstMin = dp
-			}
-			if dp > dstMax {
-				dstMax = dp
-			}
+			srcMin, srcMax = min(srcMin, sp), max(srcMax, sp)
+			dstMin, dstMax = min(dstMin, dp), max(dstMax, dp)
 		}
 	}
 
+	// A burst whose ports are one point passes the burst-level ports
+	// check exactly when each key would pass its own.
+	skipPorts := srcMin == srcMax && dstMin == dstMax
 	for _, st := range m.subtables {
 		if miss.Empty() {
 			break
@@ -399,7 +340,7 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 			for w != 0 {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				ent, outcome := st.stagedProbe(&keys[i], skipW0)
+				ent, outcome := st.stagedProbe(&keys[i], skipW0, skipPorts)
 				switch outcome {
 				case probePruned:
 					m.SubtablePrunes++
@@ -428,7 +369,7 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 			}
 		}
 	}
-	// Survivors paid their pruned sweep: bill them as scalar staged misses.
+	// Survivors paid their pruned sweep: bill them as staged misses.
 	tailWords := miss.Words()
 	for wi := range tailWords {
 		w := tailWords[wi]
@@ -448,8 +389,8 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 // RankEvery lookups: hot subtables float to the front, so warm traffic
 // resolves in the first probes regardless of how many cold masks the
 // attacker minted behind them. Safe because megaflows are disjoint — any
-// scan order finds the same (unique) match. Scalar lookups clock the
-// boundary per lookup; the batched sweep clocks it per sweep.
+// scan order finds the same (unique) match. The boundary is clocked once
+// per sweep, so a Lookup clocks it per key.
 func (m *Megaflow) maybeRank() {
 	if !m.cfg.StagedPruning || m.Lookups-m.lastRank < uint64(m.cfg.RankEvery) {
 		return

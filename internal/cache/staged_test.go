@@ -167,7 +167,7 @@ func TestStagedL4RangeMasks(t *testing.T) {
 // TestStagedBatchEqualsScalar pins exact batch==scalar equivalence for
 // the staged sweep: hits, verdicts, per-key costs and every cache
 // counter — including the new visit/prune/bail counters — must match the
-// scalar staged sequence over the same keys.
+// per-key reference sequence over the same keys.
 func TestStagedBatchEqualsScalar(t *testing.T) {
 	build := func() *Megaflow {
 		m := NewMegaflow(stagedCfg())
@@ -186,15 +186,20 @@ func TestStagedBatchEqualsScalar(t *testing.T) {
 		keys[i].Set(flow.FieldIPSrc, uint64(0x0a000001)^(1<<uint(rng.Intn(32))))
 		keys[i].Set(flow.FieldTPDst, uint64(80^(1<<uint(rng.Intn(16)))))
 	}
-	seqM, batchM := build(), build()
+	seqM, batchM, oneM := build(), build(), build()
 	type res struct {
 		ok   bool
 		cost int
 	}
 	seq := make([]res, len(keys))
 	for i, k := range keys {
-		_, cost, ok := seqM.Lookup(k, 5)
+		_, cost, ok := seqM.ReferenceLookup(k, 5)
 		seq[i] = res{ok: ok, cost: cost}
+		// Lookup is the sweep on a one-key burst: it must match the
+		// per-key reference key by key as well.
+		if _, oneCost, oneOK := oneM.Lookup(k, 5); oneOK != ok || oneCost != cost {
+			t.Errorf("key %d: Lookup (hit=%v cost=%d) vs reference (hit=%v cost=%d)", i, oneOK, oneCost, ok, cost)
+		}
 	}
 	var miss burst.Bitmap
 	miss.Reset(len(keys))
@@ -215,6 +220,9 @@ func TestStagedBatchEqualsScalar(t *testing.T) {
 	}
 	if a, b := snap(seqM), snap(batchM); a != b {
 		t.Errorf("counters diverge:\n scalar %+v\n batch  %+v", a, b)
+	}
+	if a, b := snap(seqM), snap(oneM); a != b {
+		t.Errorf("counters diverge:\n scalar %+v\n Lookup %+v", a, b)
 	}
 }
 

@@ -227,9 +227,15 @@ func TestBatchTierConformance(t *testing.T) {
 				cost    int
 				verdict cache.Verdict
 			}
+			lookup := seqFix.tier.Lookup
+			if mt, ok := seqFix.tier.(*dataplane.MegaflowTier); ok {
+				// The megaflow's Lookup is its own sweep on one key: check
+				// the sweep against the independent per-key reference.
+				lookup = mt.Megaflow().ReferenceLookup
+			}
 			seq := make([]res, len(keys))
 			for i, k := range keys {
-				ent, cost, ok := seqFix.tier.Lookup(k, 7)
+				ent, cost, ok := lookup(k, 7)
 				seq[i] = res{ok: ok, cost: cost}
 				if ok {
 					seq[i].verdict = ent.Verdict
@@ -312,15 +318,18 @@ func TestMegaflowBatchSweepMultiSubtable(t *testing.T) {
 		keyFor(0xdeadbeef), // miss
 		keyFor(0x0a7f0002), // depth 1 again
 	}
-	seqM, batchM := build(), build()
+	seqM, batchM, oneM := build(), build(), build()
 	type res struct {
 		ok   bool
 		cost int
 	}
 	seq := make([]res, len(keys))
 	for i, k := range keys {
-		_, cost, ok := seqM.Lookup(k, 9)
+		_, cost, ok := seqM.ReferenceLookup(k, 9)
 		seq[i] = res{ok: ok, cost: cost}
+		if _, oneCost, oneOK := oneM.Lookup(k, 9); oneOK != ok || oneCost != cost {
+			t.Errorf("key %d: Lookup (hit=%v cost=%d) vs reference (hit=%v cost=%d)", i, oneOK, oneCost, ok, cost)
+		}
 	}
 	var miss burst.Bitmap
 	miss.Reset(len(keys))
@@ -339,6 +348,12 @@ func TestMegaflowBatchSweepMultiSubtable(t *testing.T) {
 		t.Errorf("counters diverge: scalar {L%d H%d M%d S%d} batch {L%d H%d M%d S%d}",
 			seqM.Lookups, seqM.Hits, seqM.Misses, seqM.MasksScanned,
 			batchM.Lookups, batchM.Hits, batchM.Misses, batchM.MasksScanned)
+	}
+	if seqM.Lookups != oneM.Lookups || seqM.Hits != oneM.Hits ||
+		seqM.Misses != oneM.Misses || seqM.MasksScanned != oneM.MasksScanned {
+		t.Errorf("counters diverge: scalar {L%d H%d M%d S%d} Lookup {L%d H%d M%d S%d}",
+			seqM.Lookups, seqM.Hits, seqM.Misses, seqM.MasksScanned,
+			oneM.Lookups, oneM.Hits, oneM.Misses, oneM.MasksScanned)
 	}
 }
 
@@ -367,7 +382,7 @@ func TestMegaflowBatchSortedTSSFallback(t *testing.T) {
 	seqM, batchM := build(), build()
 	seqCosts := make([]int, len(keys))
 	for i := range keys {
-		_, cost, _ := seqM.Lookup(keys[i], 3)
+		_, cost, _ := seqM.ReferenceLookup(keys[i], 3)
 		seqCosts[i] = cost
 	}
 	var miss burst.Bitmap

@@ -247,6 +247,8 @@ type Switch struct {
 
 	tel *telemetryHooks // live-telemetry handles, nil without WithTelemetry
 
+	trace *tracer // TraceFrame's sink while it processes its frame, else nil
+
 	counters Counters
 	batch    batchScratch
 
@@ -553,7 +555,10 @@ func (s *Switch) finishRecirc(now uint64, k flow.Key, d Decision) Decision {
 	state, _ := s.ct.Lookup(tuple, now)
 	k2 := k
 	k2.Set(flow.FieldCTState, state.CTBits())
-	d2 := s.classifyOnce(now, k2)
+	if s.trace != nil {
+		s.trace.recirc(state, k2)
+	}
+	d2, _, _ := s.classifyTracked(now, k2)
 	d2.MasksScanned += d.MasksScanned
 	d2.Recirculated = true
 	if d2.Verdict.Recirc {
@@ -811,16 +816,10 @@ func (s *Switch) upcallOne(now uint64, k flow.Key, h uint64, hasHash bool, sweep
 	return d
 }
 
-// classifyOnce runs one pipeline pass (tier walk -> upcall) without
-// verdict accounting or recirculation handling.
-func (s *Switch) classifyOnce(now uint64, k flow.Key) Decision {
-	d, _, _ := s.classifyTracked(now, k)
-	return d
-}
-
-// classifyTracked is the scalar tier walk: a hit on tier i is promoted
-// into tiers [0, i); an upcall's synthesised megaflow is installed into
-// the authoritative tier and promoted above it. It also reports the
+// classifyTracked is the scalar tier walk, one pipeline pass without
+// verdict accounting or recirculation: a hit on tier i is promoted into
+// tiers [0, i); an upcall's synthesised megaflow is installed into the
+// authoritative tier and promoted above it. It also reports the
 // answering tier's index (-1 for the slow path) and entry, the provenance
 // the run coalescer keys on.
 func (s *Switch) classifyTracked(now uint64, k flow.Key) (Decision, int, *cache.Entry) {
@@ -828,6 +827,9 @@ func (s *Switch) classifyTracked(now uint64, k flow.Key) (Decision, int, *cache.
 	for i, t := range s.tiers {
 		ent, cost, ok := t.Lookup(k, now)
 		scanned += cost
+		if s.trace != nil {
+			s.trace.step(i, t, ent, cost, ok)
+		}
 		if !ok {
 			continue
 		}
@@ -837,23 +839,16 @@ func (s *Switch) classifyTracked(now uint64, k flow.Key) (Decision, int, *cache.
 		}
 		return Decision{Verdict: ent.Verdict, Path: t.Path(), MasksScanned: scanned}, i, ent
 	}
-	d, _ := s.upcall(now, k, scanned)
+	d, _ := s.upcallHashed(now, k, 0, false, scanned)
 	return d, -1, nil
 }
 
-// upcall runs the full slow-path classification, then caches the
+// upcallHashed runs the full slow-path classification, then caches the
 // synthesised megaflow in the authoritative tier and references it from
-// the tiers above, so their hits keep the flow warm. The bool reports
-// whether a megaflow was installed (the batch tail uses it to decide when
-// later misses must re-probe).
-//
-//lint:coldpath
-func (s *Switch) upcall(now uint64, k flow.Key, scanned int) (Decision, bool) {
-	return s.upcallHashed(now, k, 0, false, scanned)
-}
-
-// upcallHashed is upcall carrying the key's cached burst hash for the
-// promotion of the freshly installed megaflow.
+// the tiers above, so their hits keep the flow warm. h/hasHash carry the
+// key's cached burst hash for the sharded install and the promotion. The
+// bool reports whether a megaflow was installed (the batch tail uses it
+// to decide when later misses must re-probe).
 //
 //lint:coldpath
 func (s *Switch) upcallHashed(now uint64, k flow.Key, h uint64, hasHash bool, scanned int) (Decision, bool) {
@@ -861,6 +856,9 @@ func (s *Switch) upcallHashed(now uint64, k flow.Key, h uint64, hasHash bool, sc
 		// Refused at admission: the packet is dropped at the datapath
 		// without a slow-path visit — no classification, no install.
 		s.counters.UpcallDrops++
+		if s.trace != nil {
+			s.trace.refused()
+		}
 		return Decision{Verdict: cache.Verdict{Verdict: flowtable.Deny}, Path: PathSlow, MasksScanned: scanned}, false
 	}
 	s.counters.Upcalls++
@@ -870,9 +868,9 @@ func (s *Switch) upcallHashed(now uint64, k flow.Key, h uint64, hasHash bool, sc
 		v = res.Rule.Action
 	}
 	installed := false
+	var err error
 	if s.installer != nil {
 		var ent *cache.Entry
-		var err error
 		if s.hashedMF != nil {
 			// Sharded installer: the megaflow must land in the shard the
 			// triggering key's lookups probe, selected by the key's full
@@ -891,6 +889,9 @@ func (s *Switch) upcallHashed(now uint64, k flow.Key, h uint64, hasHash bool, sc
 			s.promoteHashed(k, h, hasHash, ent, s.promoteTo)
 			installed = true
 		}
+	}
+	if s.trace != nil {
+		s.trace.upcall(res, v, installed, err)
 	}
 	return Decision{Verdict: v, Path: PathSlow, MasksScanned: scanned}, installed
 }

@@ -9,7 +9,6 @@ import (
 	"policyinject/internal/burst"
 	"policyinject/internal/cache"
 	"policyinject/internal/classifier"
-	"policyinject/internal/conntrack"
 	"policyinject/internal/flow"
 )
 
@@ -29,8 +28,11 @@ import (
 // WithTiers tiers that do not declare ConcurrentTier, a megaflow config
 // with SortByHits (lookups would reorder the subtable vector under
 // readers) or MaskEvictLRU (cross-shard LRU eviction would invert the
-// shard/ledger lock order), and WithTierWrapper (fault-injection
-// wrappers are not concurrency-safe and would mask the capability).
+// shard/ledger lock order), WithTierWrapper (fault-injection wrappers
+// are not concurrency-safe and would mask the capability), and
+// WithConntrack (conntrack.Table is single-goroutine state, and a
+// revalidator sweeping shards concurrently with traffic would expire it
+// under the datapath's commits).
 func WithShards(n int) Option {
 	return func(c *config) {
 		c.shards = n
@@ -56,6 +58,9 @@ func validateSharded(cfg *config) {
 	}
 	if cfg.tierWrap != nil {
 		panic("dataplane: WithShards is incompatible with WithTierWrapper (wrapped tiers lose the ConcurrentTier capability)")
+	}
+	if cfg.conntrack != nil {
+		panic("dataplane: WithShards is incompatible with WithConntrack (conntrack.Table is single-goroutine state)")
 	}
 }
 
@@ -101,7 +106,7 @@ func (t *ShardedMegaflowTier) LookupBatch(keys []flow.Key, hashes []uint64, now 
 }
 
 // AccountRun coalesces a same-flow run into n billed hits at the run's
-// scan depth (atomic wrapper counters).
+// scan depth, on the shard that minted the run's entry.
 func (t *ShardedMegaflowTier) AccountRun(ent *cache.Entry, n int, cost int, now uint64) bool {
 	return t.sm.AccountRun(ent, n, cost, now)
 }
@@ -192,14 +197,13 @@ func (t *mfShardTier) Stats() TierStats {
 // ShardTarget is one shard of a sharded switch as a revalidation
 // target: revalidator.Revalidator.AttachSharded attaches each as its
 // own dump shard, so workers sweep shard-by-shard — each sweep excludes
-// only its shard's readers, never the whole switch. Shard 0's target additionally carries
-// the switch's conntrack table (expired once per round) and every
-// target exposes the (read-pure) slow-path classifier for the policy
-// consistency pass.
+// only its shard's readers, never the whole switch. Every target exposes
+// the (read-pure) slow-path classifier for the policy consistency pass.
+// A sharded switch has no connection tracker (WithShards rejects
+// WithConntrack), so no target carries one.
 type ShardTarget struct {
 	name  string
 	tiers []Tier
-	ct    *conntrack.Table
 	cls   *classifier.Classifier
 }
 
@@ -209,10 +213,6 @@ func (t *ShardTarget) Name() string { return t.name }
 // Tiers returns the shard's maintenance view (the one per-shard
 // megaflow tier; reference tiers invalidate lazily and need no sweep).
 func (t *ShardTarget) Tiers() []Tier { return t.tiers }
-
-// Conntrack exposes the owning switch's connection tracker on shard 0's
-// target (nil elsewhere), so a sharded attachment still expires state.
-func (t *ShardTarget) Conntrack() *conntrack.Table { return t.ct }
 
 // Classifier exposes the owning switch's slow path for the revalidator
 // policy check (classification is read-pure, so concurrent shard sweeps
@@ -239,7 +239,6 @@ func (s *Switch) ShardTargets() []*ShardTarget {
 			cls:   s.cls,
 		}
 	}
-	out[0].ct = s.ct
 	return out
 }
 

@@ -147,6 +147,8 @@ func TestWithShardsRejectsViolations(t *testing.T) {
 		WithMegaflow(cache.MegaflowConfig{MaskEvictLRU: true}))
 	expectPanic("WithTierWrapper", WithShards(4),
 		WithTierWrapper(func(t Tier) Tier { return t }))
+	expectPanic("WithConntrack", WithShards(4),
+		WithConntrack(conntrack.Config{}))
 
 	// The concurrency-safe combos must construct.
 	New("ok", WithShards(4), WithTiers(
@@ -234,8 +236,7 @@ func TestSharedPMDPoolSharesState(t *testing.T) {
 }
 
 // TestShardTargetsSurface: the per-shard revalidation targets expose one
-// target per megaflow shard, conntrack on shard 0 only, and nil on an
-// unsharded hierarchy.
+// target per megaflow shard, and nil on an unsharded hierarchy.
 func TestShardTargetsSurface(t *testing.T) {
 	if aclSwitch().ShardTargets() != nil {
 		t.Fatal("unsharded switch returned shard targets")
@@ -254,9 +255,6 @@ func TestShardTargetsSurface(t *testing.T) {
 		}
 		if tg.Classifier() == nil {
 			t.Fatalf("target %d has no classifier for the revalidation policy check", i)
-		}
-		if i > 0 && tg.Conntrack() != nil {
-			t.Fatalf("target %d carries conntrack; only shard 0 may (single sweep owner)", i)
 		}
 	}
 }

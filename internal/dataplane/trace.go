@@ -5,19 +5,18 @@ import (
 	"strings"
 
 	"policyinject/internal/cache"
+	"policyinject/internal/classifier"
+	"policyinject/internal/conntrack"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
-	"policyinject/internal/pkt"
 )
 
 // TraceStep is one tier's decision in a frame trace.
 type TraceStep struct {
-	Index int    // tier position in walk order
-	Tier  string // tier name ("emc", "smc", "megaflow", ...)
-	Hit   bool
-	Cost  int           // scan cost this tier billed (Decision.MasksScanned share)
-	Match string        // matched cache entry's megaflow match (hit only)
-	Vd    cache.Verdict // matched entry's verdict (hit only)
+	Index int          // tier position in walk order
+	Tier  string       // tier name ("emc", "smc", "megaflow", ...)
+	Cost  int          // scan cost this tier billed (Decision.MasksScanned share)
+	Entry *cache.Entry // the matched entry; nil on a miss
 
 	// Megaflow sweep detail, deltas of the cache's real pruning
 	// counters around this very lookup — not a re-simulation. Sweep is
@@ -30,132 +29,142 @@ type TraceStep struct {
 	Bails    uint64 // StageBails delta (stage-hash misses before full probe)
 }
 
-// TraceUpcall is the slow-path tail of a trace that missed every tier.
+// TraceUpcall is the slow-path tail of a trace pass that missed every
+// tier.
 type TraceUpcall struct {
-	Refused    bool   // dropped by the upcall admission guard
-	RuleFound  bool   // a policy rule matched
-	Rule       string // winning rule rendering (priority, match, actions)
-	Comment    string // rule provenance comment, if any
-	Megaflow   string // synthesised megaflow match
-	Installed  bool   // megaflow installed into the authoritative tier
-	InstallErr string // install failure, if any
+	Refused    bool            // dropped by the upcall admission guard
+	Rule       *flowtable.Rule // winning policy rule; nil when none matched
+	Megaflow   flow.Match      // synthesised megaflow match
+	Installed  bool            // megaflow installed into the authoritative tier
+	InstallErr error           // install failure, if any
 }
 
-// TraceResult explains how one frame would fare through the pipeline —
-// the ofproto/trace analog. It is produced by walking the frame
-// through the *live* tiers (real Lookup calls, real promotions, real
-// counter updates), so the explanation is the code path itself, not a
-// model of it.
+// TracePass is one pipeline pass of a traced frame: the tier walk and,
+// when every tier missed, the upcall.
+type TracePass struct {
+	// Key is the key the pass classified; the conntrack recirculation's
+	// pass carries the tracker's state stamped into ct_state.
+	Key     flow.Key
+	Steps   []TraceStep
+	Upcall  *TraceUpcall  // nil when a tier answered
+	Verdict cache.Verdict // the pass's own verdict, before conntrack settles it
+}
+
+// TraceResult explains how one frame fared through the pipeline — the
+// ofproto/trace analog. It is recorded from the switch's own processing
+// of the frame (the walk, upcall and conntrack recirculation that
+// Process runs, with their real promotions and counter updates), so the
+// explanation is the code path itself, not a model of it.
 type TraceResult struct {
 	Now      uint64
 	InPort   uint32
 	FrameLen int
 	ParseErr error
-	Key      flow.Key
-	Steps    []TraceStep
-	Upcall   *TraceUpcall // nil when a tier answered
-	Verdict  cache.Verdict
-	Path     Path
-	Scanned  int // total masks scanned (Decision.MasksScanned)
+	// Passes are the pipeline passes the frame took: one, or two when the
+	// first pass's verdict dispatched it through the connection tracker.
+	Passes  []TracePass
+	CTState conntrack.State // the tracker's classification (second pass only)
+	Verdict cache.Verdict   // the final verdict
+	Path    Path
+	Scanned int // total masks scanned (Decision.MasksScanned)
 }
 
-// TraceFrame runs one frame through extract and the real tier walk at
-// logical time now, recording every tier decision, the megaflow
+// TraceFrame processes one frame exactly as Process does at logical time
+// now — extract, tier walk, upcall and conntrack recirculation, with
+// every promotion, install and counter update — and returns the
+// explanation recorded along the way: every tier decision, the megaflow
 // sweep's staged-pruning counter deltas, the upcall admission verdict
-// and the slow-path outcome. State changes exactly as a Process call
-// would change it (hits promote, upcalls install, counters move):
-// tracing is processing with the explanation kept.
-//
-// Packets whose verdict recirculates through conntrack are reported
-// with the first-pass verdict ("ct(recirc)"); the trace does not
-// follow the second pass.
+// and the slow-path outcome of each pass. Tracing is processing with the
+// explanation kept.
 func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResult {
-	res := &TraceResult{Now: now, InPort: inPort, FrameLen: len(frame)}
-	s.counters.Packets++
-	k, err := pkt.Extract(frame, inPort)
+	res := &TraceResult{Now: now, InPort: inPort, FrameLen: len(frame), Passes: make([]TracePass, 1, 2)}
+	tr := &tracer{res: res, sweeps: make([][4]uint64, len(s.tiers))}
+	for i, t := range s.tiers {
+		if mt, ok := t.(megaflowBacked); ok {
+			tr.sweeps[i] = sweepCounters(mt.Megaflow())
+		}
+	}
+	s.trace = tr
+	d, err := s.Process(now, inPort, frame)
+	s.trace = nil
+	res.Verdict, res.Path, res.Scanned = d.Verdict, d.Path, d.MasksScanned
 	if err != nil {
-		s.counters.ParseError++
 		res.ParseErr = err
-		res.Verdict = cache.Verdict{Verdict: flowtable.Deny}
+		res.Passes = nil
 		res.Path = PathSlow
 		return res
 	}
-	res.Key = k
-
-	scanned := 0
-	for i, t := range s.tiers {
-		step := TraceStep{Index: i, Tier: t.Name()}
-		var mf *cache.Megaflow
-		if mt, ok := t.(megaflowBacked); ok {
-			mf = mt.Megaflow()
-		}
-		var scan0, v0, p0, b0 uint64
-		if mf != nil {
-			step.Sweep = true
-			step.Resident = mf.NumMasks()
-			scan0, v0, p0, b0 = mf.MasksScanned, mf.SubtableVisits, mf.SubtablePrunes, mf.StageBails
-		}
-		ent, cost, ok := t.Lookup(k, now)
-		scanned += cost
-		step.Cost = cost
-		if mf != nil {
-			step.Scanned = mf.MasksScanned - scan0
-			step.Visits = mf.SubtableVisits - v0
-			step.Prunes = mf.SubtablePrunes - p0
-			step.Bails = mf.StageBails - b0
-		}
-		if ok {
-			step.Hit = true
-			step.Match = ent.Match.String()
-			step.Vd = ent.Verdict
-			res.Steps = append(res.Steps, step)
-			s.tierHits[i]++
-			for _, upper := range s.tiers[:i] {
-				upper.Install(k, ent)
-			}
-			res.Verdict = ent.Verdict
-			res.Path = t.Path()
-			res.Scanned = scanned
-			s.account(res.Verdict)
-			return res
-		}
-		res.Steps = append(res.Steps, step)
-	}
-
-	up := &TraceUpcall{}
-	res.Upcall = up
-	res.Path = PathSlow
-	res.Scanned = scanned
-	if s.upGuard != nil && !s.upGuard.AdmitUpcall(now, uint32(k.Get(flow.FieldInPort))) {
-		s.counters.UpcallDrops++
-		up.Refused = true
-		res.Verdict = cache.Verdict{Verdict: flowtable.Deny}
-		s.account(res.Verdict)
-		return res
-	}
-	s.counters.Upcalls++
-	cres := s.cls.Lookup(k)
-	v := cache.Verdict{Verdict: flowtable.Deny}
-	if cres.Rule != nil {
-		up.RuleFound = true
-		up.Rule = cres.Rule.String()
-		up.Comment = cres.Rule.Comment
-		v = cres.Rule.Action
-	}
-	up.Megaflow = cres.Megaflow.String()
-	if s.installer != nil {
-		ent, ierr := s.installer.InsertMegaflow(cres.Megaflow, v, now)
-		if ierr != nil {
-			s.counters.InstallErr++
-			up.InstallErr = ierr.Error()
-		} else {
-			up.Installed = true
-			s.promoteHashed(k, 0, false, ent, s.promoteTo)
-		}
-	}
-	res.Verdict = v
-	s.account(v)
+	res.Passes[0].Key = s.oneFrame.Key(0) // the key Process extracted
 	return res
+}
+
+// tracer is the sink TraceFrame attaches to the switch for one frame:
+// the scalar walk, the upcall and the conntrack recirculation report
+// into it as they run, and only while it is attached.
+type tracer struct {
+	res *TraceResult
+	// sweeps holds, per tier, its megaflow's sweep counters as of the
+	// tier's previous lookup (or the trace's start). Only lookups move
+	// them, so the difference at the next lookup is that lookup's own.
+	sweeps [][4]uint64
+}
+
+// sweepCounters reads a megaflow's billed scans, subtable visits,
+// prunes and stage-hash bails.
+func sweepCounters(m *cache.Megaflow) [4]uint64 {
+	return [4]uint64{m.MasksScanned, m.SubtableVisits, m.SubtablePrunes, m.StageBails}
+}
+
+// pass returns the pass the walk is in.
+func (tr *tracer) pass() *TracePass { return &tr.res.Passes[len(tr.res.Passes)-1] }
+
+// step records tier i's lookup outcome, with the megaflow sweep's
+// counter deltas.
+//
+//lint:coldpath
+func (tr *tracer) step(i int, t Tier, ent *cache.Entry, cost int, ok bool) {
+	step := TraceStep{Index: i, Tier: t.Name(), Cost: cost}
+	if mt, isMF := t.(megaflowBacked); isMF {
+		m := mt.Megaflow()
+		was, now := tr.sweeps[i], sweepCounters(m)
+		tr.sweeps[i] = now
+		step.Sweep, step.Resident = true, m.NumMasks()
+		step.Scanned, step.Visits, step.Prunes, step.Bails = now[0]-was[0], now[1]-was[1], now[2]-was[2], now[3]-was[3]
+	}
+	p := tr.pass()
+	if ok {
+		step.Entry = ent
+		p.Verdict = ent.Verdict
+	}
+	p.Steps = append(p.Steps, step)
+}
+
+// refused records an upcall the admission guard dropped.
+//
+//lint:coldpath
+func (tr *tracer) refused() {
+	p := tr.pass()
+	p.Upcall = &TraceUpcall{Refused: true}
+	p.Verdict = cache.Verdict{Verdict: flowtable.Deny}
+}
+
+// upcall records an admitted upcall: the classification res, the verdict
+// v it yields, and whether its megaflow was installed (err: why not).
+//
+//lint:coldpath
+func (tr *tracer) upcall(res classifier.Result, v cache.Verdict, installed bool, err error) {
+	p := tr.pass()
+	p.Upcall = &TraceUpcall{Rule: res.Rule, Megaflow: res.Megaflow, Installed: installed, InstallErr: err}
+	p.Verdict = v
+}
+
+// recirc opens the conntrack recirculation's pass over k2, the key with
+// the tracker's state stamped in.
+//
+//lint:coldpath
+func (tr *tracer) recirc(state conntrack.State, k2 flow.Key) {
+	tr.res.CTState = state
+	tr.res.Passes = append(tr.res.Passes, TracePass{Key: k2})
 }
 
 // String renders the trace as the dpctl-facing explanation. The text
@@ -169,44 +178,68 @@ func (r *TraceResult) String() string {
 		fmt.Fprintf(&b, "verdict: deny (malformed frame dropped before classification)\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "  flow: %s\n", r.Key)
-	for _, st := range r.Steps {
-		outcome := "MISS"
-		if st.Hit {
-			outcome = "HIT"
+	first := &r.Passes[0]
+	first.write(&b)
+	switch {
+	case len(r.Passes) > 1:
+		second := &r.Passes[1]
+		fmt.Fprintf(&b, "  recirculate: conntrack state %s\n", r.CTState)
+		second.write(&b)
+		switch v := second.Verdict; {
+		case v.Recirc:
+			fmt.Fprintf(&b, "  conntrack: dispatched again -> deny (recirculation loop)\n")
+		case v.Verdict == flowtable.Allow && v.Commit && r.Verdict.Verdict == flowtable.Allow:
+			fmt.Fprintf(&b, "  conntrack: connection committed\n")
+		case v.Verdict == flowtable.Allow && v.Commit:
+			fmt.Fprintf(&b, "  conntrack: commit refused (table full) -> deny\n")
 		}
-		fmt.Fprintf(&b, "  tier %d %s: %s (cost %d)\n", st.Index, st.Tier, outcome, st.Cost)
-		if st.Sweep {
-			fmt.Fprintf(&b, "    subtables: %d resident, %d scanned, %d probed, %d pruned, %d stage-hash bails\n",
-				st.Resident, st.Scanned, st.Visits, st.Prunes, st.Bails)
-		}
-		if st.Hit {
-			fmt.Fprintf(&b, "    matched %s -> %s\n", st.Match, st.Vd)
-		}
-	}
-	if up := r.Upcall; up != nil {
-		if up.Refused {
-			fmt.Fprintf(&b, "  upcall: REFUSED by admission guard — dropped at the datapath, no classification\n")
-		} else {
-			fmt.Fprintf(&b, "  upcall: admitted to slow path\n")
-			if up.RuleFound {
-				fmt.Fprintf(&b, "    rule: %s", up.Rule)
-				if up.Comment != "" {
-					fmt.Fprintf(&b, "  # %s", up.Comment)
-				}
-				b.WriteByte('\n')
-			} else {
-				fmt.Fprintf(&b, "    rule: none matched -> default deny\n")
-			}
-			fmt.Fprintf(&b, "    megaflow: %s\n", up.Megaflow)
-			switch {
-			case up.Installed:
-				fmt.Fprintf(&b, "    install: ok (promoted to upper tiers)\n")
-			case up.InstallErr != "":
-				fmt.Fprintf(&b, "    install: FAILED: %s\n", up.InstallErr)
-			}
-		}
+	case first.Verdict.Recirc:
+		fmt.Fprintf(&b, "  recirculate: no connection tracker -> deny\n")
 	}
 	fmt.Fprintf(&b, "verdict: %s via %s, masks scanned %d\n", r.Verdict, r.Path, r.Scanned)
 	return b.String()
+}
+
+// write renders one pass: its flow, every tier step and the upcall.
+func (p *TracePass) write(b *strings.Builder) {
+	fmt.Fprintf(b, "  flow: %s\n", p.Key)
+	for _, st := range p.Steps {
+		outcome := "MISS"
+		if st.Entry != nil {
+			outcome = "HIT"
+		}
+		fmt.Fprintf(b, "  tier %d %s: %s (cost %d)\n", st.Index, st.Tier, outcome, st.Cost)
+		if st.Sweep {
+			fmt.Fprintf(b, "    subtables: %d resident, %d scanned, %d probed, %d pruned, %d stage-hash bails\n",
+				st.Resident, st.Scanned, st.Visits, st.Prunes, st.Bails)
+		}
+		if st.Entry != nil {
+			fmt.Fprintf(b, "    matched %s -> %s\n", st.Entry.Match, st.Entry.Verdict)
+		}
+	}
+	up := p.Upcall
+	if up == nil {
+		return
+	}
+	if up.Refused {
+		fmt.Fprintf(b, "  upcall: REFUSED by admission guard — dropped at the datapath, no classification\n")
+		return
+	}
+	fmt.Fprintf(b, "  upcall: admitted to slow path\n")
+	if up.Rule != nil {
+		fmt.Fprintf(b, "    rule: %s", up.Rule)
+		if up.Rule.Comment != "" {
+			fmt.Fprintf(b, "  # %s", up.Rule.Comment)
+		}
+		b.WriteByte('\n')
+	} else {
+		fmt.Fprintf(b, "    rule: none matched -> default deny\n")
+	}
+	fmt.Fprintf(b, "    megaflow: %s\n", up.Megaflow)
+	switch {
+	case up.Installed:
+		fmt.Fprintf(b, "    install: ok (promoted to upper tiers)\n")
+	case up.InstallErr != nil:
+		fmt.Fprintf(b, "    install: FAILED: %v\n", up.InstallErr)
+	}
 }
